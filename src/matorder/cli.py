@@ -21,8 +21,8 @@ from .matrix import (EQ_TOL, EXACT, FLOAT, Matrix, matrix_from_json,
 from .orders import DIAMOND_ROUTES, RELATIONS
 from .pinv import moore_penrose
 from .poset import build_poset, to_dot
-from .predecessors import (dagger_isotone, diamond_predecessor, is_bidagger,
-                           predecessor_mp, random_idempotent,
+from .predecessors import (build_predecessor, dagger_isotone,
+                           diamond_predecessor, is_bidagger, random_idempotent,
                            reverse_order_law)
 
 
@@ -101,10 +101,10 @@ def _pick_idempotent(args, b: Matrix) -> Matrix:
 def cmd_predecessor(args) -> int:
     (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
     t = _pick_idempotent(args, b)
-    a = diamond_predecessor(b, t, args.tol)
+    bundle = build_predecessor(b, t, args.tol)
     _emit({"idempotent": matrix_to_dict(t),
-           "predecessor": matrix_to_dict(a),
-           "pinv": matrix_to_dict(predecessor_mp(b, t, args.tol))})
+           "predecessor": matrix_to_dict(bundle.predecessor),
+           "pinv": matrix_to_dict(bundle.predecessor_pinv)})
     return 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, block,
-                     hstack, matrices_equal, rank)
+                     hstack, rank, spectral_rank, vstack)
 from .pinv import moore_penrose
 
 
@@ -58,8 +58,9 @@ class HSForm:
     """Unitary similarity form b = u [[sk, sl], [0, 0]] u* of a square matrix.
 
     sigma holds the r positive singular values of b (descending), k is
-    r x r, l is r x (n - r), and k k* + l l* = I_r. The pseudoinverse has
-    the closed form u [[k* s^-1, 0], [l* s^-1, 0]] u*.
+    r x r, l is r x (n - r), and k k* + l l* = I_r. The matrices below b in
+    the diamond order, and their pseudoinverses, have closed forms in these
+    blocks; see ``predecessor`` and ``predecessor_pinv``.
     """
 
     u: Matrix
@@ -82,22 +83,37 @@ class HSForm:
         return Matrix.from_ndarray(
             np.diag(np.array([1.0 / s for s in self.sigma], dtype=complex)))
 
+    def _top_block_row(self, c: Matrix) -> Matrix:
+        """The n x n block matrix [[ck, cl], [0, 0]] for an r x r block c."""
+        top = hstack(c @ self.k, c @ self.l)
+        return vstack(top, Matrix.zeros(self.n - self.r, self.n, FLOAT))
+
     def core(self) -> Matrix:
         """The n x n block matrix [[sk, sl], [0, 0]]."""
-        s = self.sigma_diag()
-        top = hstack(s @ self.k, s @ self.l)
-        bottom = Matrix.zeros(self.n - self.r, self.n, FLOAT)
-        return block([[top], [bottom]])
+        return self._top_block_row(self.sigma_diag())
 
     def reconstruct(self) -> Matrix:
         return self.u @ self.core() @ self.u.ct
 
-    def pinv(self) -> Matrix:
-        """Closed-form pseudoinverse of the reconstructed matrix."""
-        si = self.sigma_inv()
-        left = block([[self.k.ct @ si], [self.l.ct @ si]])
+    def predecessor(self, t: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
+        """The matrix below the reconstructed one in the diamond order that
+        the r x r idempotent t determines: u [[ck, cl], [0, 0]] u* with
+        c = (s^-1 t)+."""
+        c = moore_penrose(self.sigma_inv() @ t, rank_factor)
+        return self.u @ self._top_block_row(c) @ self.u.ct
+
+    def predecessor_pinv(self, t: Matrix) -> Matrix:
+        """Closed-form pseudoinverse of ``predecessor(t)``:
+        u [[k* s^-1 t, 0], [l* s^-1 t, 0]] u*."""
+        sit = self.sigma_inv() @ t
+        left = vstack(self.k.ct @ sit, self.l.ct @ sit)
         rest = Matrix.zeros(self.n, self.n - self.r, FLOAT)
         return self.u @ hstack(left, rest) @ self.u.ct
+
+    def pinv(self) -> Matrix:
+        """Closed-form pseudoinverse of the reconstructed matrix, which is
+        ``predecessor_pinv`` at t = I."""
+        return self.predecessor_pinv(Matrix.identity(self.r, FLOAT))
 
 
 def hartwig_spindelbock(b: Matrix, rank_factor: float = RANK_FACTOR) -> HSForm:
@@ -110,17 +126,8 @@ def hartwig_spindelbock(b: Matrix, rank_factor: float = RANK_FACTOR) -> HSForm:
     _require_float(b, "hartwig_spindelbock")
     if not b.is_square:
         raise ShapeError("need a square matrix, got %sx%s" % b.shape)
-    n = b.rows
-    if n == 0:
-        return HSForm(Matrix.identity(0, FLOAT), (), Matrix.zeros(0, 0, FLOAT),
-                      Matrix.zeros(0, 0, FLOAT))
-    arr = b.to_ndarray()
-    u1, s, v1h = np.linalg.svd(arr)
-    if s.size and s[0] > 0.0:
-        cutoff = n * s[0] * (2.0 ** -52) * rank_factor
-        r = int(np.count_nonzero(s > cutoff))
-    else:
-        r = 0
+    u1, s, v1h = np.linalg.svd(b.to_ndarray())
+    r = spectral_rank(s, b.shape, rank_factor)
     w = v1h @ u1
     k = Matrix.from_ndarray(w[:r, :r])
     l = Matrix.from_ndarray(w[:r, r:])
@@ -235,10 +242,8 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     if not leq_diamond(a, b, tol=tol).verdict:
         raise DomainError("pair is not diamond-comparable")
 
-    m, n = a.shape
     u1, s, v1h = np.linalg.svd(b.to_ndarray())
-    cutoff = max(m, n) * s[0] * (2.0 ** -52) * rank_factor
-    r = int(np.count_nonzero(s > cutoff))
+    r = spectral_rank(s, b.shape, rank_factor)
     d = np.diag(s[:r])
 
     a_rot = u1.conj().T @ a.to_ndarray() @ v1h.conj().T

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from .decomp import diamond_canonical_pair, hartwig_spindelbock
+from .decomp import diamond_canonical_pair
 from .errors import DomainError, MatOrderError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
                      matrices_equal, matrix_to_dict, rank)
@@ -22,8 +23,8 @@ from .orders import (diamond_via_dagger_minus, diamond_via_range_split,
                      right_star_equivalents)
 from .pinv import (inner_inverse, moore_penrose, penrose_residuals,
                    projector_rowspace)
-from .predecessors import (dagger_isotone, diamond_predecessor, is_bidagger,
-                           predecessor_mp, random_idempotent,
+from .predecessors import (build_predecessor, dagger_isotone,
+                           diamond_predecessor, is_bidagger, random_idempotent,
                            recover_idempotent, reverse_order_law)
 from .sampling import (exact_matrix, exact_pair, float_pair,
                        partial_isometry_pair, random_base_matrix)
@@ -142,20 +143,16 @@ def check_diamond_routes(cfg: RunConfig, rng: random.Random):
     return None
 
 
-def check_left_star_four_way(cfg: RunConfig, rng: random.Random):
+def _check_four_way(equivalents, cfg: RunConfig, rng: random.Random):
     kind, a, b = _pair_for(cfg, rng)
-    rpt = left_star_equivalents(a, b, cfg.tol, cfg.rank_factor)
+    rpt = equivalents(a, b, cfg.tol, cfg.rank_factor)
     if not rpt.witnesses["all_equal"]:
         return _ce(kind, a, b, witnesses=rpt.witnesses)
     return None
 
 
-def check_right_star_four_way(cfg: RunConfig, rng: random.Random):
-    kind, a, b = _pair_for(cfg, rng)
-    rpt = right_star_equivalents(a, b, cfg.tol, cfg.rank_factor)
-    if not rpt.witnesses["all_equal"]:
-        return _ce(kind, a, b, witnesses=rpt.witnesses)
-    return None
+check_left_star_four_way = partial(_check_four_way, left_star_equivalents)
+check_right_star_four_way = partial(_check_four_way, right_star_equivalents)
 
 
 def check_space_crosschecks(cfg: RunConfig, rng: random.Random):
@@ -233,26 +230,25 @@ def check_partial_isometry_collapse(cfg: RunConfig, rng: random.Random):
     return None
 
 
-def _constructor_instance(cfg: RunConfig, rng: random.Random):
+def _constructor_instance(cfg: RunConfig, rng: random.Random, t_rank_min: int = 0):
     n = rng.randint(max(2, cfg.dim_min), cfg.dim_max)
     r = rng.randint(1, n)
     b = random_base_matrix(n, r, rng)
-    t = random_idempotent(r, rng.randint(0, r), rng)
+    t = random_idempotent(r, rng.randint(t_rank_min, r), rng)
     return b, t
 
 
 def check_predecessor_roundtrip(cfg: RunConfig, rng: random.Random):
     b, t = _constructor_instance(cfg, rng)
-    a = diamond_predecessor(b, t, cfg.tol, cfg.rank_factor)
+    bundle = build_predecessor(b, t, cfg.tol, cfg.rank_factor)
+    a = bundle.predecessor
     if not leq_diamond(a, b, cfg.tol, cfg.rank_factor).verdict:
         return _ce("constructed", a, b, reason="not below in diamond order")
-    closed = predecessor_mp(b, t, cfg.tol, cfg.rank_factor)
     direct = moore_penrose(a, cfg.rank_factor)
-    if not matrices_equal(closed, direct, cfg.tol):
+    if not matrices_equal(bundle.predecessor_pinv, direct, cfg.tol):
         return _ce("constructed", a, b, reason="closed-form pinv mismatch")
-    hs = hartwig_spindelbock(b, cfg.rank_factor)
     try:
-        t_back = recover_idempotent(a, hs, cfg.tol, cfg.rank_factor)
+        t_back = recover_idempotent(a, bundle.hs, cfg.tol, cfg.rank_factor)
     except DomainError as exc:
         return _ce("constructed", a, b, reason="recovery failed: %s" % exc)
     if not matrices_equal(t_back, t, 1e-8):
@@ -278,10 +274,7 @@ def check_constructor_criteria(cfg: RunConfig, rng: random.Random):
 
 
 def check_canonical_pair(cfg: RunConfig, rng: random.Random):
-    n = rng.randint(max(2, cfg.dim_min), cfg.dim_max)
-    r = rng.randint(1, n)
-    b = random_base_matrix(n, r, rng)
-    t = random_idempotent(r, rng.randint(1, r), rng)
+    b, t = _constructor_instance(cfg, rng, t_rank_min=1)
     a = diamond_predecessor(b, t, cfg.tol, cfg.rank_factor)
     cp = diamond_canonical_pair(a, b, cfg.tol, cfg.rank_factor)
     checks = {

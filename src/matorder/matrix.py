@@ -9,10 +9,11 @@ tolerance, and rank goes through singular values with a spectral cutoff.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,7 +272,7 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
     """Backend-aware equality.
 
-    Exact: entrywise. Float: Frobenius(a - b) <= tol * (1 + |a|_F + |b|_F).
+    Exact: entrywise. Float: ``diff <= bound`` from ``float_residual``.
     """
     if a.backend != b.backend:
         raise BackendError("cannot compare across backends")
@@ -279,7 +280,14 @@ def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
         raise ShapeError("cannot compare shapes %s and %s" % (a.shape, b.shape))
     if a.backend == EXACT:
         return a.entries == b.entries
-    return (a - b).frobenius() <= tol * (1.0 + a.frobenius() + b.frobenius())
+    diff, bound = float_residual(a, b, tol)
+    return diff <= bound
+
+
+def float_residual(a: Matrix, b: Matrix, tol: float) -> tuple:
+    """The relative Frobenius rule for float equality as (diff, bound):
+    |a - b|_F and tol * (1 + |a|_F + |b|_F); a equals b when diff <= bound."""
+    return (a - b).frobenius(), tol * (1.0 + a.frobenius() + b.frobenius())
 
 
 def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
@@ -340,13 +348,18 @@ def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
     if a.backend == EXACT:
         rows = [list(row) for row in a.entries]
         return len(_echelon(rows, a.rows, a.cols))
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    s = np.linalg.svd(a.to_ndarray(), compute_uv=False)
+    return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
+                         a.shape, rank_factor)
+
+
+def spectral_rank(s, shape: tuple, rank_factor: float, floor: float = 0.0) -> int:
+    """The float rank rule: how many singular values s (descending) of a
+    matrix of this shape exceed the larger of ``floor`` and the spectral
+    cutoff, the longer side times s[0] times rank_factor machine epsilons."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cutoff = max(a.rows, a.cols) * s[0] * EPS * rank_factor
-    return int(np.count_nonzero(s > cutoff))
+    cutoff = max(shape) * s[0] * EPS * rank_factor
+    return int(np.count_nonzero(s > max(cutoff, floor)))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -405,7 +418,13 @@ def matrix_from_dict(d: dict) -> Matrix:
                 if isinstance(re, bool) or isinstance(im, bool) or \
                         not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                     raise MatOrderError("float entries must be numbers")
-                out.append(complex(re, im))
+                try:
+                    z = complex(re, im)
+                except OverflowError as exc:
+                    raise DomainError("float entry does not fit a double") from exc
+                if not cmath.isfinite(z):
+                    raise DomainError("float entries must be finite, got %s" % (pair,))
+                out.append(z)
         grid.append(out)
     return Matrix(rows, cols, backend, grid)
 

@@ -25,13 +25,15 @@ condition; dedicated suites assert the agreement on random inputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
+
+import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
-                     matrices_equal, rank)
-from .pinv import inner_inverse, moore_penrose, projector_range
+                     float_residual, matrices_equal, rank, spectral_rank)
+from .pinv import moore_penrose, projector_range
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
@@ -61,13 +63,16 @@ def _check_pair(a: Matrix, b: Matrix):
 
 def _ident(lhs: Matrix, rhs: Matrix, tol: float):
     """Equality verdict plus residual-over-tolerance ratio (float backend)."""
-    eq = matrices_equal(lhs, rhs, tol)
-    if lhs.backend == FLOAT:
-        scale = tol * (1.0 + lhs.frobenius() + rhs.frobenius())
-        ratio = (lhs - rhs).frobenius() / scale
-    else:
-        ratio = None
-    return eq, ratio
+    if lhs.backend == EXACT:
+        return matrices_equal(lhs, rhs, tol), None
+    diff, bound = float_residual(lhs, rhs, tol)
+    return diff <= bound, diff / bound
+
+
+def _range_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
+    """Whether col(a) <= col(b)."""
+    return subspace_leq(column_space(a, rank_factor),
+                        column_space(b, rank_factor), rank_factor)
 
 
 def _max_margin(ratios) -> Optional[float]:
@@ -97,18 +102,16 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> OrderReport:
     })
 
 
-def _snap_zero(m: Matrix, scale: float, tol: float) -> Matrix:
-    """Round a float matrix to exact zero when it is negligible.
+def _snapped_diff(a: Matrix, b: Matrix, tol: float) -> Matrix:
+    """B - A, or exact zero on the float backend when A equals B.
 
-    Differences and products of float matrices can be pure roundoff; the
-    SVD rank cutoff is relative to the matrix's own largest singular
-    value, so such noise would otherwise read as full rank. The scale is
-    the magnitude of the operands the matrix was built from, matching the
-    relative rule used by matrices_equal.
+    The difference of two equal float matrices is pure roundoff; the SVD
+    rank cutoff is relative to the matrix's own largest singular value, so
+    such noise would otherwise read as full rank.
     """
-    if m.backend == FLOAT and m.frobenius() <= tol * scale:
-        return Matrix.zeros(m.rows, m.cols, FLOAT)
-    return m
+    if a.backend == FLOAT and matrices_equal(a, b, tol):
+        return Matrix.zeros(a.rows, a.cols, FLOAT)
+    return b - a
 
 
 def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -117,8 +120,7 @@ def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     _check_pair(a, b)
     ra = rank(a, rank_factor)
     rb = rank(b, rank_factor)
-    diff = _snap_zero(b - a, 1.0 + a.frobenius() + b.frobenius(), tol)
-    rd = rank(diff, rank_factor)
+    rd = rank(_snapped_diff(a, b, tol), rank_factor)
     return OrderReport("minus", rd == rb - ra, "rank", {
         "rank_a": ra, "rank_b": rb, "rank_diff": rd,
     })
@@ -135,10 +137,8 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     in the witnesses.
     """
     _check_pair(a, b)
-    col_ok = subspace_leq(column_space(a, rank_factor),
-                          column_space(b, rank_factor), rank_factor)
-    row_ok = subspace_leq(column_space(a.ct, rank_factor),
-                          column_space(b.ct, rank_factor), rank_factor)
+    col_ok = _range_leq(a, b, rank_factor)
+    row_ok = _range_leq(a.ct, b.ct, rank_factor)
     verdict = col_ok and row_ok
 
     bd = moore_penrose(b, rank_factor)
@@ -199,8 +199,7 @@ def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """Left-star order: A*A = A*B and col(A) <= col(B)."""
     _check_pair(a, b)
     gram, ratio = _ident(a.ct @ a, a.ct @ b, tol)
-    incl = subspace_leq(column_space(a, rank_factor),
-                        column_space(b, rank_factor), rank_factor)
+    incl = _range_leq(a, b, rank_factor)
     return OrderReport("left-star", gram and incl, "definition", {
         "gram": gram, "range_inclusion": incl, "margin": _max_margin([ratio]),
     })
@@ -208,13 +207,14 @@ def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 def leq_right_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                    rank_factor: float = RANK_FACTOR) -> OrderReport:
-    """Right-star order: AA* = BA* and col(A*) <= col(B*)."""
+    """Right-star order: AA* = BA* and col(A*) <= col(B*), which is A*
+    below B* in the left-star order."""
     _check_pair(a, b)
-    gram, ratio = _ident(a @ a.ct, b @ a.ct, tol)
-    incl = subspace_leq(column_space(a.ct, rank_factor),
-                        column_space(b.ct, rank_factor), rank_factor)
-    return OrderReport("right-star", gram and incl, "definition", {
-        "gram": gram, "row_range_inclusion": incl, "margin": _max_margin([ratio]),
+    left = leq_left_star(a.ct, b.ct, tol, rank_factor)
+    w = left.witnesses
+    return OrderReport("right-star", left.verdict, "definition", {
+        "gram": w["gram"], "row_range_inclusion": w["range_inclusion"],
+        "margin": w["margin"],
     })
 
 
@@ -240,7 +240,7 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     _check_pair(a, b)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
-    diff = _snap_zero(bd - ad, 1.0 + ad.frobenius() + bd.frobenius(), tol)
+    diff = _snapped_diff(ad, bd, tol)
     s_rows_a = column_space(a.ct, rank_factor)
     s_diff = column_space(diff, rank_factor)
     s_rows_b = column_space(b.ct, rank_factor)
@@ -257,19 +257,33 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     })
 
 
+def _rank_above(m: Matrix, floor: float, rank_factor: float) -> int:
+    """Rank, counting on the float backend only singular values above
+    ``floor`` as well as above the spectral cutoff."""
+    if m.backend == EXACT:
+        return rank(m)
+    s = np.linalg.svd(m.to_ndarray(), compute_uv=False)
+    return spectral_rank(s, m.shape, rank_factor, floor)
+
+
 def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                      rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order via ranks: rank(B+ - A+) = rank((I - A+A) B+),
-    together with col(A*) <= col(B*)."""
+    together with col(A*) <= col(B*).
+
+    On the float backend (I - A+A) B+ carries roundoff of order
+    eps cond(A) |B+|, which the cutoff relative to its own largest singular
+    value would read as rank, so both ranks count only singular values above
+    tol * (1 + |A+|_F + |B+|_F), the scale of the operands.
+    """
     _check_pair(a, b)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     eye = Matrix.identity(a.cols, a.backend)
-    scale = 1.0 + ad.frobenius() + bd.frobenius()
-    r_diff = rank(_snap_zero(bd - ad, scale, tol), rank_factor)
-    r_proj = rank(_snap_zero((eye - ad @ a) @ bd, scale, tol), rank_factor)
-    incl = subspace_leq(column_space(a.ct, rank_factor),
-                        column_space(b.ct, rank_factor), rank_factor)
+    floor = tol * (1.0 + ad.frobenius() + bd.frobenius())
+    r_diff = _rank_above(bd - ad, floor, rank_factor)
+    r_proj = _rank_above((eye - ad @ a) @ bd, floor, rank_factor)
+    incl = _range_leq(a.ct, b.ct, rank_factor)
     return OrderReport("diamond", r_diff == r_proj and incl, "rank", {
         "rank_dagger_diff": r_diff, "rank_complement_product": r_proj,
         "row_range_inclusion": incl,
@@ -326,14 +340,13 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     _check_pair(a, b)
     base = leq_left_star(a, b, tol, rank_factor)
     dia = leq_diamond(a, b, tol, rank_factor).verdict
-    gram = matrices_equal(a.ct @ a, a.ct @ b, tol)
     ad = moore_penrose(a, rank_factor)
     dag = matrices_equal(ad @ a, ad @ b, tol)
     herm_m = a.ct @ b
     herm = matrices_equal(herm_m, herm_m.ct, tol)
     votes = {
         "definition": base.verdict,
-        "diamond_and_gram": dia and gram,
+        "diamond_and_gram": dia and base.witnesses["gram"],
         "diamond_and_dagger": dia and dag,
         "diamond_and_hermitian": dia and herm,
     }
@@ -344,26 +357,12 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 def right_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                            rank_factor: float = RANK_FACTOR) -> OrderReport:
-    """Mirror of ``left_star_equivalents`` for the right-star relation:
-    (a) definition; (b) diamond plus AA* = BA*; (c) diamond plus AA+ = BA+;
-    (d) diamond plus BA* Hermitian."""
+    """The four readings of the right-star relation, which are those of
+    ``left_star_equivalents`` on (A*, B*): (a) definition; (b) diamond plus
+    AA* = BA*; (c) diamond plus AA+ = BA+; (d) diamond plus BA* Hermitian."""
     _check_pair(a, b)
-    base = leq_right_star(a, b, tol, rank_factor)
-    dia = leq_diamond(a, b, tol, rank_factor).verdict
-    gram = matrices_equal(a @ a.ct, b @ a.ct, tol)
-    ad = moore_penrose(a, rank_factor)
-    dag = matrices_equal(a @ ad, b @ ad, tol)
-    herm_m = b @ a.ct
-    herm = matrices_equal(herm_m, herm_m.ct, tol)
-    votes = {
-        "definition": base.verdict,
-        "diamond_and_gram": dia and gram,
-        "diamond_and_dagger": dia and dag,
-        "diamond_and_hermitian": dia and herm,
-    }
-    return OrderReport("right-star", base.verdict, "four-way", {
-        **votes, "diamond": dia, "all_equal": len(set(votes.values())) == 1,
-    })
+    return replace(left_star_equivalents(a.ct, b.ct, tol, rank_factor),
+                   relation="right-star")
 
 
 RELATIONS = {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, exact_rref, inverse,
-                     matrices_equal, rank)
+                     matrices_equal, spectral_rank)
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,8 @@ def _exact_pinv(a: Matrix) -> Matrix:
 
 
 def _float_pinv(a: Matrix, rank_factor: float) -> Matrix:
-    if a.rows == 0 or a.cols == 0:
-        return Matrix.zeros(a.cols, a.rows, a.backend)
-    arr = a.to_ndarray()
-    u, s, vh = np.linalg.svd(arr)
-    if s.size == 0 or s[0] == 0.0:
-        return Matrix.zeros(a.cols, a.rows, a.backend)
-    cutoff = max(a.rows, a.cols) * s[0] * (2.0 ** -52) * rank_factor
-    r = int(np.count_nonzero(s > cutoff))
+    u, s, vh = np.linalg.svd(a.to_ndarray())
+    r = spectral_rank(s, a.shape, rank_factor)
     if r == 0:
         return Matrix.zeros(a.cols, a.rows, a.backend)
     out = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ShapeError
-from .matrix import EQ_TOL, RANK_FACTOR, Matrix
+from .matrix import EQ_TOL, RANK_FACTOR
 from .orders import RELATIONS
 
 
@@ -93,12 +93,11 @@ def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
 
 
 def to_dot(graph: PosetGraph) -> str:
-    """DOT text with one quoted node per class and one edge per cover."""
-    lines = ["digraph poset {"]
-    for idx in range(len(graph.nodes)):
-        lines.append('  "%s";' % graph.node_label(idx))
-    for lo, hi in graph.edges:
-        lines.append('  "%s" -> "%s";' % (graph.node_label(lo),
-                                          graph.node_label(hi)))
+    """DOT text with one quoted node per class and one edge per cover.
+    Labels come from file names, so quotes and backslashes are escaped."""
+    ids = ['"%s"' % graph.node_label(idx).replace("\\", "\\\\").replace('"', '\\"')
+           for idx in range(len(graph.nodes))]
+    lines = ["digraph poset {"] + ["  %s;" % node for node in ids]
+    lines += ["  %s -> %s;" % (ids[lo], ids[hi]) for lo, hi in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .decomp import HSForm, hartwig_spindelbock
 from .errors import BackendError, DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, hstack,
-                     inverse, matrices_equal, rank, vstack)
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, inverse,
+                     matrices_equal)
 from .orders import leq_diamond
 from .pinv import moore_penrose
 
@@ -62,37 +62,28 @@ def _require_square_float(b: Matrix):
         raise ShapeError("need a square matrix, got %sx%s" % b.shape)
 
 
-def _check_idempotent(t: Matrix, r: int, tol: float):
+def _checked_form(b: Matrix, t: Matrix, tol: float, rank_factor: float) -> HSForm:
+    """The block form of b, once t is checked to be an idempotent of its size."""
+    hs = hartwig_spindelbock(b, rank_factor)
     if t.backend != FLOAT:
         raise BackendError("idempotent parameter must be on the float backend")
-    if t.shape != (r, r):
-        raise ShapeError("idempotent parameter must be %dx%d" % (r, r))
+    if t.shape != (hs.r, hs.r):
+        raise ShapeError("idempotent parameter must be %dx%d" % (hs.r, hs.r))
     if not matrices_equal(t @ t, t, tol):
         raise DomainError("parameter is not idempotent within tolerance")
+    return hs
 
 
 def diamond_predecessor(b: Matrix, t: Matrix, tol: float = EQ_TOL,
                         rank_factor: float = RANK_FACTOR) -> Matrix:
     """The matrix below b in the diamond order determined by idempotent t."""
-    _require_square_float(b)
-    hs = hartwig_spindelbock(b, rank_factor)
-    _check_idempotent(t, hs.r, tol)
-    core = moore_penrose(hs.sigma_inv() @ t, rank_factor)
-    top = hstack(core @ hs.k, core @ hs.l)
-    full = vstack(top, Matrix.zeros(hs.n - hs.r, hs.n, FLOAT))
-    return hs.u @ full @ hs.u.ct
+    return _checked_form(b, t, tol, rank_factor).predecessor(t, rank_factor)
 
 
 def predecessor_mp(b: Matrix, t: Matrix, tol: float = EQ_TOL,
                    rank_factor: float = RANK_FACTOR) -> Matrix:
     """Closed-form pseudoinverse of ``diamond_predecessor(b, t)``."""
-    _require_square_float(b)
-    hs = hartwig_spindelbock(b, rank_factor)
-    _check_idempotent(t, hs.r, tol)
-    sit = hs.sigma_inv() @ t
-    left = vstack(hs.k.ct @ sit, hs.l.ct @ sit)
-    full = hstack(left, Matrix.zeros(hs.n, hs.n - hs.r, FLOAT))
-    return hs.u @ full @ hs.u.ct
+    return _checked_form(b, t, tol, rank_factor).predecessor_pinv(t)
 
 
 def recover_idempotent(a: Matrix, hs: HSForm, tol: float = EQ_TOL,
@@ -140,12 +131,9 @@ class PredecessorBundle:
 def build_predecessor(b: Matrix, t: Matrix, tol: float = EQ_TOL,
                       rank_factor: float = RANK_FACTOR) -> PredecessorBundle:
     """Bundle ``diamond_predecessor`` with its inputs and closed-form pinv."""
-    _require_square_float(b)
-    hs = hartwig_spindelbock(b, rank_factor)
-    _check_idempotent(t, hs.r, tol)
-    a = diamond_predecessor(b, t, tol, rank_factor)
-    ad = predecessor_mp(b, t, tol, rank_factor)
-    return PredecessorBundle(b, hs, t, a, ad)
+    hs = _checked_form(b, t, tol, rank_factor)
+    return PredecessorBundle(b, hs, t, hs.predecessor(t, rank_factor),
+                             hs.predecessor_pinv(t))
 
 
 def reverse_order_law(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -179,10 +167,9 @@ def is_bidagger(b: Matrix, tol: float = EQ_TOL,
     The zero matrix is rejected: it satisfies the law trivially but has no
     block data for the criterion side.
     """
-    _require_square_float(b)
-    if rank(b, rank_factor) == 0:
-        raise DomainError("zero matrix has no block form to test")
     hs = hartwig_spindelbock(b, rank_factor)
+    if hs.r == 0:
+        raise DomainError("zero matrix has no block form to test")
     bd = moore_penrose(b, rank_factor)
     direct = matrices_equal(moore_penrose(b @ b, rank_factor), bd @ bd, tol)
     sd = hs.sigma_diag()
@@ -196,10 +183,8 @@ def dagger_isotone(b: Matrix, t: Matrix, tol: float = EQ_TOL,
                    rank_factor: float = RANK_FACTOR):
     """Whether the pseudoinverse map preserves the diamond relation for the
     pair (a, b) built from t, directly and via t (t* - I) s^-2 t = 0."""
-    _require_square_float(b)
-    hs = hartwig_spindelbock(b, rank_factor)
-    _check_idempotent(t, hs.r, tol)
-    a = diamond_predecessor(b, t, tol, rank_factor)
+    hs = _checked_form(b, t, tol, rank_factor)
+    a = hs.predecessor(t, rank_factor)
     direct = leq_diamond(moore_penrose(a, rank_factor),
                          moore_penrose(b, rank_factor),
                          tol=tol, rank_factor=rank_factor).verdict

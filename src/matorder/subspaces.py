@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import EXACT, FLOAT, RANK_FACTOR, Matrix, hstack, rank
+from .matrix import (EXACT, RANK_FACTOR, Matrix, _echelon, hstack, rank,
+                     spectral_rank)
 
 
 @dataclass(frozen=True)
@@ -39,17 +40,20 @@ def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
     the rank cutoff, so the returned basis is orthonormal.
     """
     if a.backend == EXACT:
-        from .matrix import _echelon
-
         work = [list(row) for row in a.entries]
         pivots = _echelon(work, a.rows, a.cols)
         cols = [[a.entries[i][j] for j in pivots] for i in range(a.rows)]
         return SubspaceBasis(a.rows, Matrix(a.rows, len(pivots), EXACT, cols))
-    r = rank(a, rank_factor)
-    if r == 0:
-        return SubspaceBasis(a.rows, Matrix.zeros(a.rows, 0, FLOAT))
-    u, _, _ = np.linalg.svd(a.to_ndarray())
+    u, s, _ = np.linalg.svd(a.to_ndarray())
+    r = spectral_rank(s, a.shape, rank_factor)
     return SubspaceBasis(a.rows, Matrix.from_ndarray(u[:, :r]))
+
+
+def _check_comparable(s: SubspaceBasis, t: SubspaceBasis):
+    if s.ambient_dim != t.ambient_dim:
+        raise ShapeError("subspaces live in different ambient spaces")
+    if s.backend != t.backend:
+        raise BackendError("cannot compare subspaces across backends")
 
 
 def subspace_leq(s: SubspaceBasis, t: SubspaceBasis,
@@ -60,10 +64,7 @@ def subspace_leq(s: SubspaceBasis, t: SubspaceBasis,
     t's does not raise the rank, so one stacked rank computation decides
     the whole inclusion.
     """
-    if s.ambient_dim != t.ambient_dim:
-        raise ShapeError("subspaces live in different ambient spaces")
-    if s.backend != t.backend:
-        raise BackendError("cannot compare subspaces across backends")
+    _check_comparable(s, t)
     if s.dim == 0:
         return True
     if t.dim == 0:
@@ -75,10 +76,7 @@ def subspace_leq(s: SubspaceBasis, t: SubspaceBasis,
 def subspace_intersection_dim(s: SubspaceBasis, t: SubspaceBasis,
                               rank_factor: float = RANK_FACTOR) -> int:
     """dim(span(s) ∩ span(t)) = dim s + dim t - rank([s | t])."""
-    if s.ambient_dim != t.ambient_dim:
-        raise ShapeError("subspaces live in different ambient spaces")
-    if s.backend != t.backend:
-        raise BackendError("cannot compare subspaces across backends")
+    _check_comparable(s, t)
     if s.dim == 0 or t.dim == 0:
         return 0
     return s.dim + t.dim - rank(hstack(s.basis, t.basis), rank_factor)

@@ -209,6 +209,15 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_finite_entries_are_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"rows": 1, "cols": 2, "backend": "float", '
+                   '"entries": [[[NaN, 0.0], [1.0, 0.0]]]}')
+    code, _, err = run(capsys, "pinv", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_mixed_backends_need_explicit_cast(files, capsys):
     a = files("a.json", A)
     bf = files("bf.json", B.to_float())

@@ -218,6 +218,12 @@ def test_json_round_trip_property(a):
     '{"rows": 1, "cols": 1, "backend": "float", "entries": [[["1.0", 0.0]]]}',
     '{"rows": 1, "cols": 1, "backend": "float", "entries": [[[true, 0.0]]]}',
     '{"rows": -1, "cols": 1, "backend": "float", "entries": []}',
+    '{"rows": 1, "cols": 1, "backend": "float", "entries": [[[NaN, 0.0]]]}',
+    '{"rows": 1, "cols": 1, "backend": "float", "entries": [[[0.0, Infinity]]]}',
+    '{"rows": 1, "cols": 1, "backend": "float", "entries": [[[-Infinity, 0.0]]]}',
+    '{"rows": 1, "cols": 1, "backend": "float", "entries": [[[1e400, 0.0]]]}',
+    pytest.param('{"rows": 1, "cols": 1, "backend": "float", "entries": [[[1%s, 0]]]}'
+                 % ("0" * 400), id="float-int-beyond-double"),
 ])
 def test_malformed_json_rejected(payload):
     with pytest.raises(MatOrderError):

@@ -149,6 +149,17 @@ def test_rank_route_witnesses():
     assert not bad.verdict
 
 
+def test_rank_route_ignores_roundoff_of_ill_conditioned_pair():
+    # A constructed diamond pair with cond(A) ~ 5e3: (I - A+A) B+ has rank 7
+    # but a roundoff singular value of 4e-13 above its own cutoff of 3.7e-13.
+    from matorder.sampling import float_pair
+
+    kind, a, b = float_pair(random.Random("9/19/2"), 16)
+    assert kind == "diamond"
+    for name, route in DIAMOND_ROUTES.items():
+        assert route(a, b).verdict, name
+
+
 def test_four_way_equivalents_all_true():
     a = Matrix.exact([[2, 0], [0, 0]])
     b = Matrix.exact([[2, 0], [0, 1]])

@@ -71,6 +71,15 @@ def test_dot_rendering_exact_text():
                    '}\n')
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    g = PosetGraph("star", (('say "hi"\\x',), ("q",)), ((0, 1),))
+    assert to_dot(g) == ('digraph poset {\n'
+                         '  "say \\"hi\\"\\\\x";\n'
+                         '  "q";\n'
+                         '  "say \\"hi\\"\\\\x" -> "q";\n'
+                         '}\n')
+
+
 def test_dot_edges_match_recomputed_verdicts():
     from matorder import RELATIONS
 
