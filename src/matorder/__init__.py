@@ -9,10 +9,9 @@ explicit seed or ``random.Random`` so runs replay exactly.
 from .errors import BackendError, DomainError, MatOrderError, ShapeError
 from .scalars import GaussianRational, gaussian
 from .matrix import (EPS, EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, block,
-                     conj_transpose, exact_rref, hstack, inverse,
-                     is_zero_matrix, matrices_equal, matrix_from_dict,
-                     matrix_from_json, matrix_to_dict, matrix_to_json, rank,
-                     vstack)
+                     exact_rref, hstack, inverse, is_zero_matrix,
+                     matrices_equal, matrix_from_dict, matrix_from_json,
+                     matrix_to_dict, matrix_to_json, rank, vstack)
 from .subspaces import (SubspaceBasis, column_space, range_sum_check,
                         subspace_intersection_dim, subspace_leq)
 from .pinv import (PenroseResiduals, inner_inverse, is_partial_isometry,
@@ -40,7 +39,7 @@ __all__ = [
     "BackendError", "DomainError", "MatOrderError", "ShapeError",
     "GaussianRational", "gaussian",
     "EPS", "EQ_TOL", "EXACT", "FLOAT", "RANK_FACTOR", "Matrix", "block",
-    "conj_transpose", "exact_rref", "hstack", "inverse", "is_zero_matrix",
+    "exact_rref", "hstack", "inverse", "is_zero_matrix",
     "matrices_equal", "matrix_from_dict", "matrix_from_json",
     "matrix_to_dict", "matrix_to_json", "rank", "vstack",
     "SubspaceBasis", "column_space", "range_sum_check",

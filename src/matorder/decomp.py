@@ -32,10 +32,8 @@ class SVDForm:
     v: Matrix
 
     def sigma_matrix(self) -> Matrix:
-        m, n = self.u.rows, self.v.rows
-        out = np.zeros((m, n), dtype=complex)
-        for i, s in enumerate(self.sigma):
-            out[i, i] = s
+        out = np.zeros((self.u.rows, self.v.rows), dtype=complex)
+        np.fill_diagonal(out, self.sigma)
         return Matrix.from_ndarray(out)
 
     def reconstruct(self) -> Matrix:
@@ -187,10 +185,8 @@ class CanonicalPair:
         return self.b_core.rows
 
     def _embed(self, core: Matrix) -> Matrix:
-        m, n = self.u.rows, self.v.rows
-        out = np.zeros((m, n), dtype=complex)
-        arr = core.to_ndarray()
-        out[: core.rows, : core.cols] = arr
+        out = np.zeros((self.u.rows, self.v.rows), dtype=complex)
+        out[: core.rows, : core.cols] = core.entries
         return self.u @ Matrix.from_ndarray(out) @ self.v.ct
 
     def first(self) -> Matrix:
@@ -198,23 +194,6 @@ class CanonicalPair:
 
     def second(self) -> Matrix:
         return self._embed(self.b_core)
-
-    # named blocks of the partition
-    @property
-    def a_left(self) -> Matrix:
-        t = self.rank_first
-        return self.a_core.submatrix(0, t, 0, t)
-
-    @property
-    def a_right(self) -> Matrix:
-        t, r = self.rank_first, self.rank_second
-        return self.a_core.submatrix(0, t, t, r)
-
-    def b_blocks(self):
-        t, r = self.rank_first, self.rank_second
-        c = self.b_core
-        return (c.submatrix(0, t, 0, t), c.submatrix(0, t, t, r),
-                c.submatrix(t, r, 0, t), c.submatrix(t, r, t, r))
 
     def gram(self) -> Matrix:
         return self.a_core @ self.a_core.ct

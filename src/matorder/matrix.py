@@ -1,15 +1,16 @@
 """Dense complex matrices over an exact rational or floating backend.
 
-A Matrix is an immutable value: fixed shape, one backend for all entries.
-The exact backend stores GaussianRational entries and supports decidable
-equality and rank. The float backend stores complex128-compatible entries;
+A Matrix is an immutable value: fixed shape, one backend for all entries,
+held in one read-only 2-d numpy array. The exact backend stores
+GaussianRational entries in an object array and supports decidable
+equality and rank. The float backend stores finite complex128 entries;
 comparisons there go through ``matrices_equal`` with a relative Frobenius
 tolerance, and rank goes through singular values with a spectral cutoff.
+Each arithmetic kernel is one numpy expression on the stored arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from fractions import Fraction
@@ -26,6 +27,18 @@ FLOAT = "float"
 EQ_TOL = 1e-9
 RANK_FACTOR = 64.0
 EPS = 2.0 ** -52
+
+# backend -> (array dtype, zero, one)
+_KIND = {EXACT: (object, GR_ZERO, GR_ONE), FLOAT: (complex, 0j, 1 + 0j)}
+_ABS_SQ = np.frompyfunc(GaussianRational.abs_sq, 1, 1)
+
+
+def _kind(rows: int, cols: int, backend: str) -> tuple:
+    if rows < 0 or cols < 0:
+        raise ShapeError("negative dimension")
+    if backend not in _KIND:
+        raise BackendError("unknown backend %r" % backend)
+    return _KIND[backend]
 
 
 def _coerce_exact(value) -> GaussianRational:
@@ -47,22 +60,44 @@ def _coerce_float(value) -> complex:
 
 
 class Matrix:
-    """Immutable dense m-by-n complex matrix tied to one scalar backend."""
+    """Immutable dense m-by-n complex matrix tied to one scalar backend.
+
+    ``entries`` is a read-only 2-d ndarray: GaussianRational objects on the
+    exact backend, complex128 on the float backend.
+    """
 
     __slots__ = ("rows", "cols", "backend", "entries")
 
     def __init__(self, rows: int, cols: int, backend: str, entries):
-        if rows < 0 or cols < 0:
-            raise ShapeError("negative dimension")
-        if backend not in (EXACT, FLOAT):
-            raise BackendError("unknown backend %r" % backend)
-        ent = tuple(tuple(row) for row in entries)
-        if len(ent) != rows or any(len(row) != cols for row in ent):
+        """Copy ``entries``, a nested sequence or an array, into a new matrix."""
+        dtype = _kind(rows, cols, backend)[0]
+        try:
+            arr = np.array(entries, dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError("entry grid does not match declared shape") from exc
+        if rows == 0 and arr.shape == (0,):
+            arr = arr.reshape(0, cols)
+        if arr.shape != (rows, cols):
             raise ShapeError("entry grid does not match declared shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        self._store(backend, arr)
+
+    def _store(self, backend: str, arr):
+        if backend == FLOAT and not np.isfinite(arr).all():
+            raise DomainError("float entries must be finite: the input holds "
+                              "NaN or infinity, or the arithmetic overflowed")
+        arr.flags.writeable = False
+        object.__setattr__(self, "rows", arr.shape[0])
+        object.__setattr__(self, "cols", arr.shape[1])
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def _wrap(cls, backend: str, arr) -> "Matrix":
+        """A matrix on ``arr`` without a copy: a 2-d array of the backend's
+        dtype that no one writes to afterwards."""
+        out = object.__new__(cls)
+        out._store(backend, arr)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -85,21 +120,22 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Matrix":
-        z = GR_ZERO if backend == EXACT else 0j
-        return cls(rows, cols, backend, [[z] * cols for _ in range(rows)])
+        dtype, zero, _ = _kind(rows, cols, backend)
+        return cls._wrap(backend, np.full((rows, cols), zero, dtype=dtype))
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
-        z = GR_ZERO if backend == EXACT else 0j
-        o = GR_ONE if backend == EXACT else 1 + 0j
-        return cls(n, n, backend, [[o if i == j else z for j in range(n)] for i in range(n)])
+        dtype, zero, one = _kind(n, n, backend)
+        arr = np.full((n, n), zero, dtype=dtype)
+        np.fill_diagonal(arr, one)
+        return cls._wrap(backend, arr)
 
     @classmethod
     def from_ndarray(cls, arr) -> "Matrix":
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ShapeError("expected a 2-d array")
-        return cls(a.shape[0], a.shape[1], FLOAT, [[complex(v) for v in row] for row in a])
+        return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     # -- basic views ---------------------------------------------------
 
@@ -112,45 +148,48 @@ class Matrix:
         return self.rows == self.cols
 
     def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
+        return self.entries[key]
 
     def to_ndarray(self):
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                out[i, j] = complex(v)
-        return out
+        """The entries as complex128; on the float backend, the stored array."""
+        if self.backend == FLOAT:
+            return self.entries
+        return self.entries.astype(complex)
 
     def to_float(self) -> "Matrix":
         if self.backend == FLOAT:
             return self
-        return Matrix(self.rows, self.cols, FLOAT,
-                      [[complex(v) for v in row] for row in self.entries])
+        return Matrix._wrap(FLOAT, self.to_ndarray())
 
     # -- arithmetic ----------------------------------------------------
+
+    def _like(self, arr) -> "Matrix":
+        return Matrix._wrap(self.backend, arr)
 
     def _check_same_backend(self, other: "Matrix"):
         if self.backend != other.backend:
             raise BackendError("mixed backends: %s vs %s" % (self.backend, other.backend))
 
+    def _check_same_shape(self, other: "Matrix", what: str):
+        self._check_same_backend(other)
+        if self.shape != other.shape:
+            raise ShapeError("%s needs equal shapes, got %s and %s"
+                             % (what, self.shape, other.shape))
+
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_backend(other)
-        if self.shape != other.shape:
-            raise ShapeError("addition needs equal shapes, got %s and %s" % (self.shape, other.shape))
-        return Matrix(self.rows, self.cols, self.backend,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        self._check_same_shape(other, "addition")
+        return self._like(self.entries + other.entries)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (-other)
+        self._check_same_shape(other, "subtraction")
+        return self._like(self.entries - other.entries)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.backend,
-                      [[-v for v in row] for row in self.entries])
+        return self._like(-self.entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -158,31 +197,17 @@ class Matrix:
         self._check_same_backend(other)
         if self.cols != other.rows:
             raise ShapeError("product needs inner dims to agree, got %s and %s" % (self.shape, other.shape))
-        zero = GR_ZERO if self.backend == EXACT else 0j
-        bt = [tuple(col) for col in zip(*other.entries)] if other.entries else []
-        if other.cols and not bt:
-            bt = [()] * other.cols
-        out = []
-        for arow in self.entries:
-            orow = []
-            for j in range(other.cols):
-                acc = zero
-                bcol = bt[j]
-                for t in range(self.cols):
-                    acc = acc + arow[t] * bcol[t]
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.rows, other.cols, self.backend, out)
+        if self.cols == 0:
+            # numpy fills an empty object product with int 0
+            return Matrix.zeros(self.rows, other.cols, self.backend)
+        return self._like(self.entries @ other.entries)
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_exact(scalar) if self.backend == EXACT else _coerce_float(scalar)
-        return Matrix(self.rows, self.cols, self.backend,
-                      [[s * v for v in row] for row in self.entries])
+        return self._like(s * self.entries)
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.backend,
-                      [[self.entries[i][j].conjugate() for i in range(self.rows)]
-                       for j in range(self.cols)])
+        return self._like(self.entries.conj().T)
 
     @property
     def ct(self) -> "Matrix":
@@ -191,32 +216,40 @@ class Matrix:
     # -- predicates and norms -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not bool(v) for row in self.entries for v in row)
+        return not self.entries.any()
 
     def frobenius_sq(self):
         """Squared Frobenius norm; exact rational on the exact backend."""
         if self.backend == EXACT:
-            total = as_rational(0)
-            for row in self.entries:
-                for v in row:
-                    total = total + v.abs_sq()
-            return total
-        return sum(abs(v) ** 2 for row in self.entries for v in row)
+            return np.add.reduce(_ABS_SQ(self.entries), axis=None,
+                                 initial=as_rational(0))
+        return self.frobenius() ** 2
 
     def frobenius(self) -> float:
-        return math.sqrt(float(self.frobenius_sq()))
+        if self.backend == EXACT:
+            return math.sqrt(float(self.frobenius_sq()))
+        norm = float(np.linalg.norm(self.entries))
+        if norm == math.inf:
+            # the squares of entries beyond 1e154 overflowed: compute again
+            # on the entries scaled by a power of two, which is exact
+            scale = math.ldexp(1.0, math.frexp(np.abs(self.entries).max())[1] - 1)
+            norm = scale * float(np.linalg.norm(self.entries / scale))
+            if norm == math.inf:
+                raise DomainError("Frobenius norm beyond the float range")
+        return norm
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.backend == other.backend and self.shape == other.shape
-                and self.entries == other.entries)
+                and bool((self.entries == other.entries).all()))
 
     def __hash__(self):
-        return hash((self.backend, self.rows, self.cols, self.entries))
+        # by value, so that -0.0 and 0.0 hash alike as they compare equal
+        return hash((self.backend, self.shape, tuple(self.entries.flat)))
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(v) for v in row) for row in self.entries)
+        body = "; ".join(", ".join(str(v) for v in row) for row in self.entries.tolist())
         return "Matrix(%dx%d %s: %s)" % (self.rows, self.cols, self.backend, body)
 
     # -- slicing and stacking -------------------------------------------
@@ -224,42 +257,27 @@ class Matrix:
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ShapeError("submatrix bounds out of range")
-        return Matrix(r1 - r0, c1 - c0, self.backend,
-                      [row[c0:c1] for row in self.entries[r0:r1]])
+        return self._like(self.entries[r0:r1, c0:c1])
 
 
-def conj_transpose(a: Matrix) -> Matrix:
-    return a.conj_transpose()
+def _stack(join, mats, side: int, message: str) -> Matrix:
+    """Join the entry arrays of ``mats``, whose shapes agree at index ``side``."""
+    if not mats:
+        raise ShapeError("need at least one matrix")
+    first = mats[0]
+    for m in mats[1:]:
+        first._check_same_backend(m)
+        if m.shape[side] != first.shape[side]:
+            raise ShapeError(message)
+    return first._like(join([m.entries for m in mats]))
 
 
 def hstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ShapeError("need at least one matrix")
-    first = mats[0]
-    for m in mats[1:]:
-        first._check_same_backend(m)
-        if m.rows != first.rows:
-            raise ShapeError("hstack needs equal row counts")
-    rows = first.rows
-    out = [[] for _ in range(rows)]
-    for m in mats:
-        for i in range(rows):
-            out[i].extend(m.entries[i])
-    return Matrix(rows, sum(m.cols for m in mats), first.backend, out)
+    return _stack(np.hstack, mats, 0, "hstack needs equal row counts")
 
 
 def vstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ShapeError("need at least one matrix")
-    first = mats[0]
-    for m in mats[1:]:
-        first._check_same_backend(m)
-        if m.cols != first.cols:
-            raise ShapeError("vstack needs equal column counts")
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), first.cols, first.backend, out)
+    return _stack(np.vstack, mats, 1, "vstack needs equal column counts")
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -279,7 +297,7 @@ def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
     if a.shape != b.shape:
         raise ShapeError("cannot compare shapes %s and %s" % (a.shape, b.shape))
     if a.backend == EXACT:
-        return a.entries == b.entries
+        return a == b
     diff, bound = float_residual(a, b, tol)
     return diff <= bound
 
@@ -287,7 +305,10 @@ def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
 def float_residual(a: Matrix, b: Matrix, tol: float) -> tuple:
     """The relative Frobenius rule for float equality as (diff, bound):
     |a - b|_F and tol * (1 + |a|_F + |b|_F); a equals b when diff <= bound."""
-    return (a - b).frobenius(), tol * (1.0 + a.frobenius() + b.frobenius())
+    bound = tol * (1.0 + a.frobenius() + b.frobenius())
+    if bound == math.inf:
+        raise DomainError("equality bound beyond the float range")
+    return (a - b).frobenius(), bound
 
 
 def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
@@ -327,7 +348,7 @@ def exact_rref(a: Matrix):
     """Reduced row echelon form of an exact matrix with its pivot columns."""
     if a.backend != EXACT:
         raise BackendError("row reduction is an exact-backend operation")
-    rows = [list(row) for row in a.entries]
+    rows = a.entries.tolist()
     pivots = _echelon(rows, a.rows, a.cols)
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
@@ -346,8 +367,7 @@ def exact_rref(a: Matrix):
 def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
     """Rank: pivot count (exact) or singular values above a spectral cutoff (float)."""
     if a.backend == EXACT:
-        rows = [list(row) for row in a.entries]
-        return len(_echelon(rows, a.rows, a.cols))
+        return len(_echelon(a.entries.tolist(), a.rows, a.cols))
     return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
                          a.shape, rank_factor)
 
@@ -381,9 +401,10 @@ def inverse(a: Matrix) -> Matrix:
 
 def matrix_to_dict(a: Matrix) -> dict:
     if a.backend == EXACT:
-        ent = [[[rational_str(v.re), rational_str(v.im)] for v in row] for row in a.entries]
+        ent = [[[rational_str(v.re), rational_str(v.im)] for v in row]
+               for row in a.entries.tolist()]
     else:
-        ent = [[[float(v.real), float(v.imag)] for v in row] for row in a.entries]
+        ent = np.stack([a.entries.real, a.entries.imag], axis=-1).tolist()
     return {"rows": a.rows, "cols": a.cols, "backend": a.backend, "entries": ent}
 
 
@@ -419,12 +440,9 @@ def matrix_from_dict(d: dict) -> Matrix:
                         not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                     raise MatOrderError("float entries must be numbers")
                 try:
-                    z = complex(re, im)
+                    out.append(complex(re, im))
                 except OverflowError as exc:
                     raise DomainError("float entry does not fit a double") from exc
-                if not cmath.isfinite(z):
-                    raise DomainError("float entries must be finite, got %s" % (pair,))
-                out.append(z)
         grid.append(out)
     return Matrix(rows, cols, backend, grid)
 

@@ -40,10 +40,9 @@ def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
     the rank cutoff, so the returned basis is orthonormal.
     """
     if a.backend == EXACT:
-        work = [list(row) for row in a.entries]
-        pivots = _echelon(work, a.rows, a.cols)
-        cols = [[a.entries[i][j] for j in pivots] for i in range(a.rows)]
-        return SubspaceBasis(a.rows, Matrix(a.rows, len(pivots), EXACT, cols))
+        pivots = _echelon(a.entries.tolist(), a.rows, a.cols)
+        return SubspaceBasis(a.rows, Matrix(a.rows, len(pivots), EXACT,
+                                            a.entries[:, pivots]))
     u, s, _ = np.linalg.svd(a.to_ndarray())
     r = spectral_rank(s, a.shape, rank_factor)
     return SubspaceBasis(a.rows, Matrix.from_ndarray(u[:, :r]))

@@ -218,6 +218,16 @@ def test_non_finite_entries_are_a_usage_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("order", ["star", "minus", "diamond"])
+def test_overflowing_entries_are_a_usage_error(files, capsys, order):
+    # a 1e308 entry is finite, but the products the relations form are not
+    a = files("a.json", Matrix.from_complex([[1e308]]))
+    code, out, err = run(capsys, "check", "--order", order, a, a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_mixed_backends_need_explicit_cast(files, capsys):
     a = files("a.json", A)
     bf = files("bf.json", B.to_float())

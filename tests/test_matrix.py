@@ -1,18 +1,20 @@
 """Matrix type, arithmetic, rank, inverse, and the JSON wire format."""
 
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matorder import (EXACT, FLOAT, BackendError, DomainError, MatOrderError,
+from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderError,
                       Matrix, ShapeError, block, exact_rref, hstack, inverse,
-                      is_zero_matrix, matrices_equal, matrix_from_dict,
+                      is_zero_matrix, leq_minus, matrices_equal, matrix_from_dict,
                       matrix_from_json, matrix_to_dict, matrix_to_json, rank,
                       vstack)
-from matorder.scalars import gaussian
+from matorder.scalars import GR_ZERO, GaussianRational, gaussian
 
 SMALL = st.integers(min_value=-3, max_value=3)
 
@@ -72,9 +74,50 @@ def test_matmul_shapes_and_values():
     b = Matrix.exact([[1, 0], [0, 1]])
     assert a @ b == a
     c = Matrix.exact([[1], [1]])
-    assert (a @ c).entries == ((gaussian(3),), (gaussian(7),))
+    assert a @ c == Matrix(2, 1, EXACT, [[gaussian(3)], [gaussian(7)]])
     with pytest.raises(ShapeError):
         c @ a
+
+
+def reference_product(a, b, zero=GR_ZERO):
+    """The entries of a @ b by the schoolbook triple loop over (i, j, t)."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = zero
+            for t in range(a.cols):
+                acc = acc + a[i, t] * b[t, j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def exact_grid(m, n):
+    entries = st.builds(gaussian, SMALL, SMALL)
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=m, max_size=m).map(lambda g: Matrix(m, n, EXACT, g))
+
+
+@st.composite
+def product_operands(draw):
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(exact_grid(m, k)), draw(exact_grid(k, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands())
+def test_product_matches_reference_loop(operands):
+    a, b = operands
+    prod = a @ b
+    assert prod.shape == (a.rows, b.cols)
+    assert all(isinstance(v, GaussianRational) for v in prod.entries.flat)
+    assert prod.entries.tolist() == reference_product(a, b)
+    # the float product sums in another order: agree to k roundoffs per term
+    af, bf = a.to_float(), b.to_float()
+    ref = np.array(reference_product(af, bf, 0j), dtype=complex).reshape(prod.shape)
+    bound = 4 * (a.cols + 1) * EPS * af.frobenius() * bf.frobenius()
+    assert np.abs((af @ bf).to_ndarray() - ref).max(initial=0.0) <= bound
 
 
 def test_matmul_through_zero_dimension():
@@ -237,6 +280,54 @@ def test_to_float_and_ndarray_round_trip():
     assert f.to_float() is f
     arr = f.to_ndarray()
     assert Matrix.from_ndarray(arr) == f
+
+
+def test_entries_are_read_only_and_owned():
+    arr = np.array([[1.0, 2.0]])
+    f = Matrix.from_ndarray(arr)
+    arr[0, 0] = 5.0
+    assert f == Matrix.from_complex([[1.0, 2.0]])
+    for m in (f, f @ f.ct, f.submatrix(0, 1, 1, 2), Matrix.exact([[1]]).ct):
+        assert not m.entries.flags.writeable
+    with pytest.raises(ValueError):
+        f.entries[0, 0] = 3.0
+
+
+def test_signed_zeros_are_equal_and_hash_alike():
+    pos, neg = Matrix.from_complex([[0.0]]), Matrix.from_complex([[-0.0]])
+    assert pos == neg
+    assert hash(pos) == hash(neg)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   complex(0.0, float("-inf"))])
+def test_non_finite_float_entries_rejected(value):
+    with pytest.raises(DomainError):
+        Matrix.from_complex([[value]])
+    with pytest.raises(DomainError):
+        Matrix.from_ndarray(np.array([[1.0, value]]))
+
+
+def test_frobenius_of_huge_entries_is_finite():
+    a = Matrix.from_complex([[1e200]])
+    b = Matrix.from_complex([[3e200, 4e200j]])
+    assert a.frobenius() == 1e200
+    assert math.isclose(b.frobenius(), 5e200)
+    assert not matrices_equal(a, a.scale(2))
+    assert not leq_minus(a, a.scale(2)).verdict
+    with pytest.raises(DomainError):
+        Matrix.from_complex([[1.5e308, 1.5e308]]).frobenius()
+    # |a| + |b| overflows, so no relative bound separates these two
+    with pytest.raises(DomainError):
+        matrices_equal(Matrix.from_complex([[1e308]]), Matrix.from_complex([[9e307]]))
+
+
+def test_overflowing_float_kernel_is_a_domain_error():
+    big = Matrix.from_complex([[1e308, 0.0]])
+    with pytest.raises(DomainError):
+        big.ct @ big
+    with pytest.raises(DomainError):
+        big + big
 
 
 def test_repr_and_hash_usable():

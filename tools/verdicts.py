@@ -1,0 +1,98 @@
+"""Verdict corpus: the output of every benchmark operation, in one file.
+
+    python3 tools/verdicts.py [OUT]
+
+Runs, in this process, every operation of every unit of the benchmark pools
+(exact-battery at seeds 1-3, float-battery at 1-10, diamond-family at 1-3,
+cli at 1) and the two fixed-seed fuzz runs of the CLI, and writes one JSON
+object, one line per unit, to OUT (default: VERDICTS.json at the root of
+this checkout). Outputs are verdicts, integer witnesses, booleans, exact
+entries and graph text; no float margin is recorded, so a change that only
+moves roundoff leaves the file unchanged. Regenerate the file and diff it
+against the committed copy to see every verdict a change moves.
+
+The pools come from perfbench/workloads.py, loaded without writing
+bytecode into perfbench/.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import matorder.cli  # noqa: E402
+
+SEEDS = {"exact-battery": range(1, 4), "float-battery": range(1, 11),
+         "diamond-family": range(1, 4), "cli": range(1, 2)}
+FUZZ = {"fuzz/exact": ["fuzz", "--trials", "200"],
+        "fuzz/float": ["--backend", "float", "fuzz", "--trials", "100"]}
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def pool(workload, seed: int, workdir: Path) -> list:
+    """(corpus key, unit) for every unit of the workload's pool at ``seed``."""
+    return [("%s/%d/%s" % (workload.name, seed, unit["key"]), unit)
+            for unit in workload.generate(seed, workdir)]
+
+
+def unit_outputs(workload, unit, workdir: Path) -> dict:
+    """Operation name -> JSON-normal output, or the exception type it raised."""
+    out = {}
+    for op, thunk in workload.ops(unit, workdir, in_process=True):
+        try:
+            out[op] = json.loads(json.dumps(thunk()))
+        except Exception as exc:  # a raising operation is recorded, not fatal
+            out[op] = "raised %s" % type(exc).__name__
+    return out
+
+
+def fuzz_output(argv) -> dict:
+    text = io.StringIO()
+    with redirect_stdout(text):
+        code = matorder.cli.main(argv)
+    return {"exit": code, "stdout": json.loads(text.getvalue())}
+
+
+def corpus() -> dict:
+    workloads = load_workloads()
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seeds in SEEDS.items():
+            workload = workloads.WORKLOADS[name]
+            for seed in seeds:
+                workdir = Path(tmp) / name / str(seed)
+                for key, unit in pool(workload, seed, workdir):
+                    entries[key] = unit_outputs(workload, unit, workdir)
+    for key, argv in FUZZ.items():
+        entries[key] = fuzz_output(argv)
+    return entries
+
+
+def dumps(entries: dict) -> str:
+    lines = ["%s: %s" % (json.dumps(key), json.dumps(value, sort_keys=True))
+             for key, value in entries.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "VERDICTS.json"
+    out.write_text(dumps(corpus()))
