@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, block,
-                     hstack, rank, spectral_rank, vstack)
+                     hstack, memoized, rank, spectral_rank, vstack)
 from .pinv import moore_penrose
 
 
@@ -114,6 +114,7 @@ class HSForm:
         return self.predecessor_pinv(Matrix.identity(self.r, FLOAT))
 
 
+@memoized
 def hartwig_spindelbock(b: Matrix, rank_factor: float = RANK_FACTOR) -> HSForm:
     """Factor a square matrix as u [[sk, sl], [0, 0]] u* with u unitary.
 
@@ -218,7 +219,7 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
         raise ShapeError("need equal shapes, got %s and %s" % (a.shape, b.shape))
     if rank(a, rank_factor) == 0:
         raise DomainError("zero lower matrix has no canonical block form")
-    if not leq_diamond(a, b, tol=tol).verdict:
+    if not leq_diamond(a, b, tol, rank_factor).verdict:
         raise DomainError("pair is not diamond-comparable")
 
     u1, s, v1h = np.linalg.svd(b.to_ndarray())

@@ -108,7 +108,7 @@ def _ce(kind, a, b, **extra) -> dict:
 def check_implication_chains(cfg: RunConfig, rng: random.Random):
     kind, a, b = _pair_for(cfg, rng)
     tol = cfg.tol
-    star = leq_star(a, b, tol).verdict
+    star = leq_star(a, b, tol, cfg.rank_factor).verdict
     minus = leq_minus(a, b, tol, cfg.rank_factor).verdict
     space = leq_space(a, b, tol, cfg.rank_factor, inner_samples=0).verdict
     dia = leq_diamond(a, b, tol, cfg.rank_factor).verdict
@@ -222,7 +222,7 @@ def check_pinv_properties(cfg: RunConfig, rng: random.Random):
 def check_partial_isometry_collapse(cfg: RunConfig, rng: random.Random):
     m, n = _dims(cfg, rng)
     kind, a, b = partial_isometry_pair(rng, m, n)
-    star = leq_star(a, b, cfg.tol).verdict
+    star = leq_star(a, b, cfg.tol, cfg.rank_factor).verdict
     minus = leq_minus(a, b, cfg.tol, cfg.rank_factor).verdict
     dia = leq_diamond(a, b, cfg.tol, cfg.rank_factor).verdict
     if not star == minus == dia:

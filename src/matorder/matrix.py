@@ -11,6 +11,7 @@ Each arithmetic kernel is one numpy expression on the stored arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -63,10 +64,11 @@ class Matrix:
     """Immutable dense m-by-n complex matrix tied to one scalar backend.
 
     ``entries`` is a read-only 2-d ndarray: GaussianRational objects on the
-    exact backend, complex128 on the float backend.
+    exact backend, complex128 on the float backend. ``_memo`` holds what
+    ``ct`` and the ``memoized`` factorizations computed on this matrix.
     """
 
-    __slots__ = ("rows", "cols", "backend", "entries")
+    __slots__ = ("rows", "cols", "backend", "entries", "_memo")
 
     def __init__(self, rows: int, cols: int, backend: str, entries):
         """Copy ``entries``, a nested sequence or an array, into a new matrix."""
@@ -90,6 +92,7 @@ class Matrix:
         object.__setattr__(self, "cols", arr.shape[1])
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def _wrap(cls, backend: str, arr) -> "Matrix":
@@ -211,7 +214,12 @@ class Matrix:
 
     @property
     def ct(self) -> "Matrix":
-        return self.conj_transpose()
+        """The conjugate transpose, computed once per matrix. It keeps no
+        link back, so ``a.ct.ct`` is a new matrix equal to ``a``."""
+        memo = self._memo
+        if "ct" not in memo:
+            memo["ct"] = self.conj_transpose()
+        return memo["ct"]
 
     # -- predicates and norms -------------------------------------------
 
@@ -282,6 +290,23 @@ def vstack(*mats: Matrix) -> Matrix:
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     return vstack(*[hstack(*row) for row in grid])
+
+
+def memoized(f):
+    """Compute ``f(a, rank_factor)`` once per matrix ``a``: the result is
+    kept on ``a`` under the key ``(f.__name__, rank_factor)``. Every later
+    caller on ``a`` shares it, so f must return an immutable value."""
+    name = f.__name__
+
+    @functools.wraps(f)
+    def cached(a: Matrix, rank_factor: float = RANK_FACTOR):
+        key = (name, rank_factor)
+        memo = a._memo
+        if key not in memo:
+            memo[key] = f(a, rank_factor)
+        return memo[key]
+
+    return cached
 
 
 # -- equality and rank -------------------------------------------------

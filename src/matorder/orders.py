@@ -80,7 +80,8 @@ def _max_margin(ratios) -> Optional[float]:
     return max(vals) if vals else None
 
 
-def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> OrderReport:
+def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
+             rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Star order: A*A = A*B and AA* = BA*.
 
     The equivalent pseudoinverse form A+A = A+B, AA+ = BA+ is evaluated
@@ -90,7 +91,7 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> OrderReport:
     act = a.ct
     g_left, m1 = _ident(act @ a, act @ b, tol)
     g_right, m2 = _ident(a @ act, b @ act, tol)
-    ad = moore_penrose(a)
+    ad = moore_penrose(a, rank_factor)
     d_left, m3 = _ident(ad @ a, ad @ b, tol)
     d_right, m4 = _ident(a @ ad, b @ ad, tol)
     verdict = g_left and g_right
@@ -397,8 +398,8 @@ def projector_transfer(a: Matrix, b: Matrix, relation: str,
         raise DomainError("unknown relation %r" % relation)
     _check_pair(a, b)
     pred = RELATIONS[relation]
-    direct = pred(a, b, tol).verdict
+    direct = pred(a, b, tol, rank_factor).verdict
     pa = projector_range(a, rank_factor)
     pb = projector_range(b, rank_factor)
-    projected = pred(pa, pb, tol).verdict
+    projected = pred(pa, pb, tol, rank_factor).verdict
     return direct, projected

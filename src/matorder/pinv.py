@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, exact_rref, inverse,
-                     matrices_equal, spectral_rank)
+                     matrices_equal, memoized, spectral_rank)
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def _float_pinv(a: Matrix, rank_factor: float) -> Matrix:
     return Matrix.from_ndarray(out)
 
 
+@memoized
 def moore_penrose(a: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
     """The unique matrix satisfying all four pseudoinverse equations."""
     if a.backend == EXACT:

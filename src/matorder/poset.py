@@ -56,7 +56,7 @@ def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
     for i in range(n):
         for j in range(n):
             if i != j:
-                leq[i][j] = pred(mats[i], mats[j], tol).verdict
+                leq[i][j] = pred(mats[i], mats[j], tol, rank_factor).verdict
 
     # merge mutually comparable inputs into one node
     assigned = [-1] * n

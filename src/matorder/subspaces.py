@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import (EXACT, RANK_FACTOR, Matrix, _echelon, hstack, rank,
-                     spectral_rank)
+from .matrix import (EXACT, RANK_FACTOR, Matrix, _echelon, hstack, memoized,
+                     rank, spectral_rank)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class SubspaceBasis:
         return self.basis.backend
 
 
+@memoized
 def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
     """Basis of the column space of a.
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process via main(argv)."""
 
 import json
+import warnings
 
 import pytest
 
@@ -220,9 +221,13 @@ def test_non_finite_entries_are_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("order", ["star", "minus", "diamond"])
 def test_overflowing_entries_are_a_usage_error(files, capsys, order):
-    # a 1e308 entry is finite, but the products the relations form are not
+    # a 1e308 entry is finite, but the products the relations form are not;
+    # the overflow is reported once, as the error, without numpy warnings
     a = files("a.json", Matrix.from_complex([[1e308]]))
-    code, out, err = run(capsys, "check", "--order", order, a, a)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", "--order", order, a, a)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

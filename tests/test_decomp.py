@@ -163,6 +163,17 @@ def test_canonical_pair_gram_matches_cross_gram_randomly():
     assert found >= 5
 
 
+def test_canonical_pair_passes_rank_factor():
+    # a is diamond-below b only once its 1e-13 entry counts as roundoff
+    a = _f([[1, 0], [0, 1e-13]])
+    b = _f([[1, 0], [0, 0]])
+    with pytest.raises(DomainError):
+        diamond_canonical_pair(a, b)
+    pair = diamond_canonical_pair(a, b, rank_factor=1e3)
+    assert (pair.rank_first, pair.rank_second) == (1, 1)
+    assert matrices_equal(pair.second(), b, TOL)
+
+
 def test_canonical_pair_rejections():
     b = _f([[1, 0], [0, 1]])
     with pytest.raises(DomainError):

@@ -23,6 +23,9 @@ B3 = Matrix.identity(2)
 # Diamond pair on which both one-sided star orders fail.
 A4 = Matrix.exact([[1, 0], [0, 0]])
 B4 = Matrix.exact([[1, 1], [1, -1]])
+# Star fails on the right Gram identity alone: A*A = A*B, AA* != BA*.
+A5 = Matrix.exact([[1, 0], [0, 0]])
+B5 = Matrix.exact([[1, 0], [1, 1]])
 
 
 def test_registry_key_sets():
@@ -69,6 +72,25 @@ def test_one_sided_star_failures():
     assert leq_diamond(A4, B4).verdict
     assert not leq_left_star(A4, B4).verdict
     assert not leq_right_star(A4, B4).verdict
+
+
+@pytest.mark.parametrize("to_backend", [lambda m: m, Matrix.to_float],
+                         ids=["exact", "float"])
+def test_star_needs_both_gram_identities(to_backend):
+    rep = leq_star(to_backend(A5), to_backend(B5))
+    assert not rep.verdict
+    assert rep.witnesses["gram_left"] is True
+    assert rep.witnesses["gram_right"] is False
+
+
+def test_star_pinv_follows_rank_factor():
+    # the Gram identities hold; A+ reads 1e-13 as rank at the default
+    # rank_factor and as roundoff at 1e3, which the dagger witnesses show
+    a = Matrix.from_complex([[1, 0], [0, 1e-13]])
+    b = Matrix.from_complex([[1, 0], [0, 0]])
+    assert not leq_star(a, b).witnesses["dagger_agrees"]
+    rep = leq_star(a, b, rank_factor=1e3)
+    assert rep.verdict and rep.witnesses["dagger_agrees"]
 
 
 def test_diagonal_star_pair():
@@ -218,6 +240,14 @@ def test_projector_transfer_forward_only():
     b = Matrix.exact([[1, 1], [1, 1]])
     direct, projected = projector_transfer(a, b, "space")
     assert not direct and projected
+
+
+def test_projector_transfer_passes_rank_factor():
+    # at rank_factor 1e3 the 1e-13 entry is roundoff and a is minus-below b
+    a = Matrix.from_complex([[1, 0], [0, 0]])
+    b = Matrix.from_complex([[1, 0], [0, 1e-13]])
+    assert projector_transfer(a, b, "minus", rank_factor=1e3) == (True, True)
+    assert projector_transfer(a, b, "minus")[0] is False
 
 
 def test_pair_validation_errors():

@@ -3,7 +3,7 @@
 import pytest
 
 from matorder import (DomainError, Matrix, PosetGraph, ShapeError,
-                      build_poset, to_dot)
+                      build_poset, leq_minus, to_dot)
 
 ZERO = Matrix.zeros(2, 2)
 A = Matrix.exact([[0, 1], [0, 0]])
@@ -48,6 +48,18 @@ def test_relation_choice_changes_edges():
     assert g.edges == ()
     g2 = build_poset([("a", A), ("b", B2)], relation="minus")
     assert g2.edges == ((0, 1),)
+
+
+def test_rank_factor_reaches_the_relation():
+    # leq_minus holds both ways at rank_factor 1e3, where 1e-13 is roundoff,
+    # so the two inputs form one node
+    a = Matrix.from_complex([[1, 0], [0, 0]])
+    b = Matrix.from_complex([[1, 0], [0, 1e-13]])
+    assert leq_minus(a, b, rank_factor=1e3).verdict
+    assert leq_minus(b, a, rank_factor=1e3).verdict
+    g = build_poset([("a", a), ("b", b)], relation="minus", rank_factor=1e3)
+    assert g.nodes == (("a", "b"),)
+    assert len(build_poset([("a", a), ("b", b)], relation="minus").nodes) == 2
 
 
 def test_validation_errors():
