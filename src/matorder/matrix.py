@@ -3,10 +3,12 @@
 A Matrix is an immutable value: fixed shape, one backend for all entries,
 held in one read-only 2-d numpy array. The exact backend stores
 GaussianRational entries in an object array and supports decidable
-equality and rank. The float backend stores finite complex128 entries;
-comparisons there go through ``matrices_equal`` with a relative Frobenius
-tolerance, and rank goes through singular values with a spectral cutoff.
-Each arithmetic kernel is one numpy expression on the stored arrays.
+equality and rank; its products and eliminations run on the matrix's
+integer form, Gaussian-integer numerators over one common denominator.
+The float backend stores finite complex128 entries; comparisons there go
+through ``matrices_equal`` with a relative Frobenius tolerance, and rank
+goes through singular values with a spectral cutoff. Each arithmetic
+kernel is one numpy expression on the stored arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError, DomainError, MatOrderError, ShapeError
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_rational, rational_str
+from .scalars import (GR_ONE, GR_ZERO, GaussianRational, _rat, as_rational,
+                      rational_str)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -32,6 +35,7 @@ EPS = 2.0 ** -52
 # backend -> (array dtype, zero, one)
 _KIND = {EXACT: (object, GR_ZERO, GR_ONE), FLOAT: (complex, 0j, 1 + 0j)}
 _ABS_SQ = np.frompyfunc(GaussianRational.abs_sq, 1, 1)
+_DIVMOD = np.frompyfunc(divmod, 2, 2)
 
 
 def _kind(rows: int, cols: int, backend: str) -> tuple:
@@ -52,6 +56,18 @@ def _coerce_exact(value) -> GaussianRational:
     raise MatOrderError("cannot place %r in an exact matrix" % (value,))
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _gaussian_array(re, im, d: int):
+    """The GaussianRational array (re + i·im) / d, for integer arrays re, im."""
+    values = [GaussianRational._raw(_rat(x, d), _rat(y, d))
+              for x, y in zip(re.flat, im.flat)]
+    return np.array(values, dtype=object).reshape(re.shape)
+
+
 def _coerce_float(value) -> complex:
     if isinstance(value, GaussianRational):
         return complex(value)
@@ -65,7 +81,8 @@ class Matrix:
 
     ``entries`` is a read-only 2-d ndarray: GaussianRational objects on the
     exact backend, complex128 on the float backend. ``_memo`` holds what
-    ``ct`` and the ``memoized`` factorizations computed on this matrix.
+    ``ct``, ``integer_form`` and the ``memoized`` factorizations computed
+    on this matrix.
     """
 
     __slots__ = ("rows", "cols", "backend", "entries", "_memo")
@@ -200,10 +217,16 @@ class Matrix:
         self._check_same_backend(other)
         if self.cols != other.rows:
             raise ShapeError("product needs inner dims to agree, got %s and %s" % (self.shape, other.shape))
-        if self.cols == 0:
-            # numpy fills an empty object product with int 0
-            return Matrix.zeros(self.rows, other.cols, self.backend)
-        return self._like(self.entries @ other.entries)
+        if self.backend == FLOAT:
+            return self._like(self.entries @ other.entries)
+        xr, xi, dx = self.integer_form
+        yr, yi, dy = other.integer_form
+        re, im, d = xr @ yr - xi @ yi, xr @ yi + xi @ yr, dx * dy
+        out = self._like(_gaussian_array(re, im, d))
+        # the product's own integer form: the next product starts from it
+        g = math.gcd(d, *re.flat, *im.flat)
+        out._memo["ints"] = (_read_only(re // g), _read_only(im // g), d // g)
+        return out
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_exact(scalar) if self.backend == EXACT else _coerce_float(scalar)
@@ -220,6 +243,22 @@ class Matrix:
         if "ct" not in memo:
             memo["ct"] = self.conj_transpose()
         return memo["ct"]
+
+    @property
+    def integer_form(self) -> tuple:
+        """``(re, im, d)`` with entries == (re + i·im) / d, computed once per
+        exact matrix: re and im are read-only object arrays of Python ints,
+        d > 0 is the lcm of the denominators of every real and imaginary part."""
+        if self.backend != EXACT:
+            raise BackendError("the integer form is an exact-backend value")
+        memo = self._memo
+        if "ints" not in memo:
+            parts = [q for v in self.entries.flat for q in (v.re, v.im)]
+            d = math.lcm(*(int(q.denominator) for q in parts))
+            nums = np.array([int(q.numerator) * (d // int(q.denominator)) for q in parts],
+                            dtype=object).reshape(self.rows, self.cols, 2)
+            memo["ints"] = (_read_only(nums[..., 0]), _read_only(nums[..., 1]), d)
+        return memo["ints"]
 
     # -- predicates and norms -------------------------------------------
 
@@ -342,57 +381,75 @@ def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
     return a.frobenius() <= tol * (1.0 + a.frobenius())
 
 
-def _echelon(rows, nrows: int, ncols: int):
-    """In-place forward elimination, first-nonzero pivoting; returns pivot cols."""
+def _exact_quotient(x, n):
+    """x // n for an object array x of ints, which n must divide exactly."""
+    q, rem = _DIVMOD(x, n)
+    if rem.any():
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _gauss_jordan(a: Matrix):
+    """Fraction-free Gauss–Jordan elimination of an exact matrix over Z[i].
+
+    Runs on the numerators of ``a.integer_form``, which have the same row
+    space as a. Column by column, the first row at or below the next pivot
+    row with a nonzero entry becomes the pivot row, so the pivot columns are
+    the rank profile of a. Each step replaces every other row x by
+    (p·x − x[c]·row) / q, with p the new pivot and q the previous one (1 at
+    first); the division is exact (Bareiss 1968, in the Gauss–Jordan form of
+    Nakos, Turner and Williams 1997). Returns ``(re, im, last, pivots)``:
+    every pivot entry of the final rows re + i·im equals ``last``, a
+    Gaussian integer (re, im) pair, so those rows divided by it are the
+    reduced row echelon form of a.
+    """
+    re, im, _ = a.integer_form
+    re, im = re.copy(), im.copy()
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    qr, qi = 1, 0
+    for c in range(a.cols):
+        r = len(pivots)
+        if r == a.rows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if bool(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
+        nonzero = np.flatnonzero((re[r:, c] != 0) | (im[r:, c] != 0))
+        if not nonzero.size:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            if bool(rows[i][c]):
-                f = rows[i][c] / pivot
-                ri, rr = rows[i], rows[r]
-                for j in range(c, ncols):
-                    ri[j] = ri[j] - f * rr[j]
+        k = r + int(nonzero[0])
+        if k != r:
+            re[[r, k]] = re[[k, r]]
+            im[[r, k]] = im[[k, r]]
+        pr, pi = re[r, c], im[r, c]
+        row_re, row_im = re[r].copy(), im[r].copy()
+        col_re, col_im = re[:, c:c + 1].copy(), im[:, c:c + 1].copy()
+        xr = pr * re - pi * im - (col_re * row_re - col_im * row_im)
+        xi = pr * im + pi * re - (col_re * row_im + col_im * row_re)
+        if qi:
+            # x / q = x·conj(q) / |q|^2
+            xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
+            norm = qr * qr + qi * qi
+        else:
+            norm = qr
+        re, im = _exact_quotient(xr, norm), _exact_quotient(xi, norm)
+        re[r], im[r] = row_re, row_im
         pivots.append(c)
-        r += 1
-    return pivots
+        qr, qi = pr, pi
+    return re, im, (qr, qi), pivots
 
 
 def exact_rref(a: Matrix):
     """Reduced row echelon form of an exact matrix with its pivot columns."""
     if a.backend != EXACT:
         raise BackendError("row reduction is an exact-backend operation")
-    rows = a.entries.tolist()
-    pivots = _echelon(rows, a.rows, a.cols)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        pivot = rows[r][c]
-        if pivot != GR_ONE:
-            rows[r] = [v / pivot for v in rows[r]]
-        for i in range(r):
-            if bool(rows[i][c]):
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                for j in range(c, a.cols):
-                    ri[j] = ri[j] - f * rr[j]
-    return Matrix(a.rows, a.cols, EXACT, rows), tuple(pivots)
+    re, im, (pr, pi), pivots = _gauss_jordan(a)
+    # x / p = x·conj(p) / |p|^2
+    red = _gaussian_array(re * pr + im * pi, im * pr - re * pi, pr * pr + pi * pi)
+    return Matrix._wrap(EXACT, red), tuple(pivots)
 
 
 def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
     """Rank: pivot count (exact) or singular values above a spectral cutoff (float)."""
     if a.backend == EXACT:
-        return len(_echelon(a.entries.tolist(), a.rows, a.cols))
+        return len(_gauss_jordan(a)[3])
     return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
                          a.shape, rank_factor)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import (EXACT, RANK_FACTOR, Matrix, _echelon, hstack, memoized,
-                     rank, spectral_rank)
+from .matrix import (EXACT, RANK_FACTOR, Matrix, _gauss_jordan, hstack,
+                     memoized, rank, spectral_rank)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
     the rank cutoff, so the returned basis is orthonormal.
     """
     if a.backend == EXACT:
-        pivots = _echelon(a.entries.tolist(), a.rows, a.cols)
+        pivots = _gauss_jordan(a)[3]
         return SubspaceBasis(a.rows, Matrix(a.rows, len(pivots), EXACT,
                                             a.entries[:, pivots]))
     u, s, _ = np.linalg.svd(a.to_ndarray())

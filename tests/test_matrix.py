@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderError,
-                      Matrix, ShapeError, block, exact_rref, hstack, inverse,
-                      is_zero_matrix, leq_minus, matrices_equal, matrix_from_dict,
-                      matrix_from_json, matrix_to_dict, matrix_to_json, rank,
-                      vstack)
+                      Matrix, ShapeError, block, column_space, exact_rref, hstack,
+                      inverse, is_zero_matrix, leq_minus, matrices_equal,
+                      matrix_from_dict, matrix_from_json, matrix_to_dict,
+                      matrix_to_json, moore_penrose, rank, vstack)
 from matorder.scalars import GR_ZERO, GaussianRational, gaussian
 
 SMALL = st.integers(min_value=-3, max_value=3)
@@ -91,6 +92,54 @@ def reference_product(a, b, zero=GR_ZERO):
             row.append(acc)
         out.append(row)
     return out
+
+
+def reference_echelon(rows, nrows: int, ncols: int):
+    """Forward elimination of a list of rows in place, in GaussianRational
+    arithmetic, pivoting on the first nonzero entry; returns pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if bool(rows[i][c]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, nrows):
+            if bool(rows[i][c]):
+                f = rows[i][c] / pivot
+                ri, rr = rows[i], rows[r]
+                for j in range(c, ncols):
+                    ri[j] = ri[j] - f * rr[j]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_rref(a):
+    """The reduced row echelon rows of a and its pivot columns, by
+    ``reference_echelon`` and back substitution in GaussianRational
+    arithmetic."""
+    rows = a.entries.tolist()
+    pivots = reference_echelon(rows, a.rows, a.cols)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        pivot = rows[r][c]
+        if pivot != gaussian(1):
+            rows[r] = [v / pivot for v in rows[r]]
+        for i in range(r):
+            if bool(rows[i][c]):
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                for j in range(c, a.cols):
+                    ri[j] = ri[j] - f * rr[j]
+    return rows, tuple(pivots)
 
 
 def exact_grid(m, n):
@@ -224,6 +273,119 @@ def test_inverse_known_and_errors():
         inverse(Matrix.exact([[1, 2]]))
     with pytest.raises(BackendError):
         inverse(Matrix.from_complex([[1]]))
+
+
+PART = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5, 7)))
+GAUSSIAN = st.builds(gaussian, PART, PART)
+
+
+@st.composite
+def deficient_mats(draw, max_dim=6):
+    """Gaussian-rational matrices with 0..max_dim rows and columns and mixed
+    denominators, most made rank deficient by repeated rows, scaled rows
+    and zero columns."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    rows = draw(st.lists(st.lists(GAUSSIAN, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3)) if m and n else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        kind = draw(st.sampled_from(("repeat", "scale", "zero column")))
+        if kind == "repeat":
+            rows[j] = list(rows[i])
+        elif kind == "scale":
+            f = draw(GAUSSIAN)
+            rows[j] = [f * v for v in rows[i]]
+        else:
+            c = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[c] = GR_ZERO
+    return Matrix(m, n, EXACT, rows)
+
+
+def _all_gaussian(m):
+    return all(isinstance(v, GaussianRational) for v in m.entries.flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_mats())
+def test_elimination_and_products_match_reference(a):
+    ref_rows, ref_pivots = reference_rref(a)
+    red, pivots = exact_rref(a)
+    assert pivots == ref_pivots
+    assert red.entries.tolist() == ref_rows
+    assert rank(a) == len(ref_pivots)
+    basis = column_space(a).basis
+    assert basis.entries.tolist() == [[row[c] for c in ref_pivots]
+                                      for row in a.entries.tolist()]
+    checked = [red, basis, a @ a.ct, a.ct @ a]
+    assert checked[2].entries.tolist() == reference_product(a, a.ct)
+    assert checked[3].entries.tolist() == reference_product(a.ct, a)
+    # a product keeps its gcd-reduced integer form; later kernels start from it
+    g = checked[2]
+    checked.append(g @ a)
+    assert checked[-1].entries.tolist() == reference_product(g, a)
+    g_red, g_pivots = exact_rref(g)
+    assert (g_red.entries.tolist(), g_pivots) == reference_rref(g)
+    assert rank(g) == len(g_pivots)
+    checked.append(g_red)
+    if a.is_square:
+        n = a.rows
+        aug_rows, aug_pivots = reference_rref(hstack(a, Matrix.identity(n)))
+        if aug_pivots == tuple(range(n)):
+            inv = inverse(a)
+            assert inv.entries.tolist() == [row[n:] for row in aug_rows]
+            checked.append(inv)
+        else:
+            with pytest.raises(DomainError):
+                inverse(a)
+    assert all(_all_gaussian(m) for m in checked)
+
+
+def test_exact_stack_agrees_with_sympy():
+    """sympy's DomainMatrix over QQ_I, an independent implementation of
+    Gaussian-rational linear algebra, referees rank, the reduced row
+    echelon form and its pivots, the inverse and the four Penrose
+    equations of the pseudoinverse."""
+    dm = pytest.importorskip("sympy.polys.matrices")
+    from sympy.polys.domains import QQ, QQ_I
+
+    def to_sympy(m):
+        cells = [[QQ_I(QQ(v.re.numerator, v.re.denominator),
+                       QQ(v.im.numerator, v.im.denominator)) for v in row]
+                 for row in m.entries.tolist()]
+        return dm.DomainMatrix(cells, m.shape, QQ_I)
+
+    def from_sympy(d):
+        return [[gaussian(Fraction(int(e.x.numerator), int(e.x.denominator)),
+                          Fraction(int(e.y.numerator), int(e.y.denominator)))
+                 for e in row] for row in d.to_dense().to_list()]
+
+    def adjoint(d):
+        return d.transpose().applyfunc(lambda e: QQ_I(e.x, -e.y))
+
+    @settings(max_examples=80, deadline=None)
+    @given(deficient_mats())
+    def check(a):
+        s = to_sympy(a)
+        assert rank(a) == s.rank()
+        red, pivots = exact_rref(a)
+        s_red, s_pivots = s.rref()
+        assert pivots == tuple(s_pivots)
+        assert red.entries.tolist() == from_sympy(s_red)
+        if a.is_square:
+            try:
+                s_inv = s.inv()
+            except dm.exceptions.DMNonInvertibleMatrixError:
+                with pytest.raises(DomainError):
+                    inverse(a)
+            else:
+                assert inverse(a).entries.tolist() == from_sympy(s_inv)
+        x = to_sympy(moore_penrose(a))
+        ax, xa = s * x, x * s
+        for residual in (ax * s - s, xa * x - x, adjoint(ax) - ax, adjoint(xa) - xa):
+            assert residual.is_zero_matrix
+
+    check()
 
 
 def test_json_round_trip_exact():

@@ -1,15 +1,17 @@
-"""Per-matrix memo: the adjoint, pseudoinverse, column space and block form
-are computed once per Matrix object and change no result."""
+"""Per-matrix memo: the adjoint, pseudoinverse, column space, block form and
+exact integer form are computed once per Matrix object and change no result."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matorder import (DIAMOND_ROUTES, RELATIONS, Matrix, build_poset,
-                      column_space, hartwig_spindelbock, moore_penrose, pinv)
+from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
+                      build_poset, column_space, exact_rref, hartwig_spindelbock, matrix,
+                      moore_penrose, pinv, rank)
 from matorder.sampling import random_base_matrix
 
 ROUTES = list(RELATIONS.items()) + [("diamond/" + k, f)
@@ -92,3 +94,72 @@ def test_poset_computes_each_pseudoinverse_once(monkeypatch, relation):
     monkeypatch.setattr(pinv, "_float_pinv", counted)
     build_poset([(str(i), m) for i, m in enumerate(mats)], relation)
     assert len(done) <= len(mats)
+
+
+def _listed_form(m: Matrix) -> tuple:
+    re, im, d = m.integer_form
+    return re.tolist(), im.tolist(), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=exact_pairs(4))
+def test_exact_kernels_on_warm_integer_form_equal_fresh(pair):
+    a, b = pair
+    c = a @ b.ct  # its integer form comes with it from the product
+    for m in (a, b):
+        m.integer_form
+    for m in (a, b, c):
+        assert rank(m) == rank(_fresh(m))
+        warm, fresh = exact_rref(m), exact_rref(_fresh(m))
+        assert warm == fresh
+        assert _listed_form(m) == _listed_form(_fresh(m))
+    assert c == _fresh(a) @ _fresh(b).ct
+    assert c @ a == _fresh(c) @ _fresh(a)
+
+
+def test_integer_form_is_computed_once(monkeypatch):
+    a = Matrix.exact([["1/2", (1, "-1/3")], [0, (0, "1/5")]])
+    computed = []
+    real_lcm = math.lcm
+
+    def counted(*args):
+        computed.append(args)
+        return real_lcm(*args)
+
+    monkeypatch.setattr(matrix.math, "lcm", counted)
+    form = a.integer_form
+    for _ in range(3):
+        rank(a)
+        exact_rref(a)
+        prod = a @ a
+        column_space(a)
+    assert a.integer_form is form
+    assert len(computed) == 1
+    prod.integer_form  # kept from the product, not recomputed
+    assert len(computed) == 1
+
+
+def test_integer_form_is_read_only_and_exact():
+    a = Matrix.exact([["1/2", (1, "-1/3")], [0, (0, "1/5")]])
+    # the raw numerators of a @ a over 900 share the factor 3; the product
+    # keeps them reduced, over 300, and later kernels start from that form
+    prod = a @ a
+    assert prod.integer_form[2] == 300
+    assert prod @ a == _fresh(prod) @ _fresh(a)
+    assert exact_rref(prod) == exact_rref(_fresh(prod))
+    for m in (a, prod):
+        re, im, d = m.integer_form
+        assert _listed_form(m) == _listed_form(_fresh(m))
+        assert d == math.lcm(*(int(q.denominator) for v in m.entries.flat
+                               for q in (v.re, v.im)))
+        assert all(type(x) is int for x in list(re.flat) + list(im.flat))
+        for arr in (re, im):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5
+    assert a.integer_form[2] == 30
+    assert a.integer_form[0].tolist() == [[15, 30], [0, 0]]
+    assert a.integer_form[1].tolist() == [[0, -10], [0, 6]]
+    with pytest.raises(BackendError):
+        a.to_float().integer_form
+
