@@ -215,8 +215,7 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
     _require_float(a, "diamond_canonical_pair")
     _require_float(b, "diamond_canonical_pair")
-    if a.shape != b.shape:
-        raise ShapeError("need equal shapes, got %s and %s" % (a.shape, b.shape))
+    a._check_same_shape(b, "diamond_canonical_pair")
     if rank(a, rank_factor) == 0:
         raise DomainError("zero lower matrix has no canonical block form")
     if not leq_diamond(a, b, tol, rank_factor).verdict:

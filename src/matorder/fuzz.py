@@ -173,16 +173,14 @@ def check_projector_transfer(cfg: RunConfig, rng: random.Random):
                                                cfg.rank_factor)
         if direct and not projected:
             return _ce(kind, a, b, relation=relation)
-    # range projectors alone lose the row-space half of the space
-    # pre-order; conjoining the row-space projectors restores an iff
-    direct = leq_space(a, b, cfg.tol, cfg.rank_factor,
-                       inner_samples=0).verdict
+    # direct and projected now hold the space pair; range projectors alone
+    # lose the row-space half of the space pre-order, and conjoining the
+    # row-space projectors restores an iff
     qa = projector_rowspace(a, cfg.rank_factor)
     qb = projector_rowspace(b, cfg.rank_factor)
-    _, col_side = projector_transfer(a, b, "space", cfg.tol, cfg.rank_factor)
     row_side = leq_space(qa, qb, cfg.tol, cfg.rank_factor,
                          inner_samples=0).verdict
-    if direct != (col_side and row_side):
+    if direct != (projected and row_side):
         return _ce(kind, a, b, relation="space-two-sided")
     return None
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError, DomainError, MatOrderError, ShapeError
-from .scalars import (GR_ONE, GR_ZERO, GaussianRational, _rat, as_rational,
+from .scalars import (GR_ONE, GR_ZERO, GaussianRational, as_rational,
                       rational_str)
 
 EXACT = "exact"
@@ -63,7 +63,7 @@ def _read_only(arr):
 
 def _gaussian_array(re, im, d: int):
     """The GaussianRational array (re + i·im) / d, for integer arrays re, im."""
-    values = [GaussianRational._raw(_rat(x, d), _rat(y, d))
+    values = [GaussianRational._raw(Fraction(x, d), Fraction(y, d))
               for x, y in zip(re.flat, im.flat)]
     return np.array(values, dtype=object).reshape(re.shape)
 
@@ -254,8 +254,8 @@ class Matrix:
         memo = self._memo
         if "ints" not in memo:
             parts = [q for v in self.entries.flat for q in (v.re, v.im)]
-            d = math.lcm(*(int(q.denominator) for q in parts))
-            nums = np.array([int(q.numerator) * (d // int(q.denominator)) for q in parts],
+            d = math.lcm(*(q.denominator for q in parts))
+            nums = np.array([q.numerator * (d // q.denominator) for q in parts],
                             dtype=object).reshape(self.rows, self.cols, 2)
             memo["ints"] = (_read_only(nums[..., 0]), _read_only(nums[..., 1]), d)
         return memo["ints"]
@@ -356,10 +356,7 @@ def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
 
     Exact: entrywise. Float: ``diff <= bound`` from ``float_residual``.
     """
-    if a.backend != b.backend:
-        raise BackendError("cannot compare across backends")
-    if a.shape != b.shape:
-        raise ShapeError("cannot compare shapes %s and %s" % (a.shape, b.shape))
+    a._check_same_shape(b, "comparison")
     if a.backend == EXACT:
         return a == b
     diff, bound = float_residual(a, b, tol)

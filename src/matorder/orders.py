@@ -30,10 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BackendError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
                      float_residual, matrices_equal, rank, spectral_rank)
 from .pinv import moore_penrose, projector_range
+from .scalars import GaussianRational
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
@@ -55,10 +56,7 @@ class OrderReport:
 def _check_pair(a: Matrix, b: Matrix):
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise ShapeError("order predicates compare two matrices")
-    if a.backend != b.backend:
-        raise BackendError("mixed backends")
-    if a.shape != b.shape:
-        raise ShapeError("need equal shapes, got %s and %s" % (a.shape, b.shape))
+    a._check_same_shape(b, "order comparison")
 
 
 def _ident(lhs: Matrix, rhs: Matrix, tol: float):
@@ -173,19 +171,21 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 
 def _random_param(rows: int, cols: int, backend: str, rng: random.Random) -> Matrix:
+    """rows x cols small integers (exact) or standard normal draws (float),
+    built with the declared shape so that an empty side stays empty."""
     if backend == EXACT:
-        return Matrix.exact([[rng.randint(-2, 2) for _ in range(cols)]
-                             for _ in range(rows)])
-    return Matrix.from_complex([[rng.gauss(0.0, 1.0) for _ in range(cols)]
-                                for _ in range(rows)])
+        grid = [[GaussianRational(rng.randint(-2, 2)) for _ in range(cols)]
+                for _ in range(rows)]
+    else:
+        grid = [[rng.gauss(0.0, 1.0) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(rows, cols, backend, grid)
 
 
 def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
-                rank_factor: float = RANK_FACTOR,
-                inner_samples: int = 0) -> OrderReport:
+                rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order: the space pre-order plus A B* A = A A* A."""
     _check_pair(a, b)
-    space = leq_space(a, b, tol, rank_factor, inner_samples=inner_samples)
+    space = leq_space(a, b, tol, rank_factor, inner_samples=0)
     sandwich, ratio = _ident(a @ b.ct @ a, a @ a.ct @ a, tol)
     return OrderReport("diamond", space.verdict and sandwich, "definition", {
         "space": space.verdict, "sandwich": sandwich,
@@ -292,38 +292,22 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 
 def idempotent_factor_witness(a: Matrix, b: Matrix, tol: float = EQ_TOL,
-                              rank_factor: float = RANK_FACTOR,
-                              attempts: int = 8,
-                              rng: Optional[random.Random] = None):
+                              rank_factor: float = RANK_FACTOR):
     """An idempotent Q with A+ = Q B+, which exists exactly under diamond.
 
-    The primary candidate solves A+ = Q B+ subject to Q acting only on
-    col(B+), which gives Q = A+ B. If verification of that candidate fails
-    numerically, falls back to Q = A+ G over sampled inner inverses G of
-    A+. Returns None when no verified witness is found.
+    Q = A+ B: under diamond A+ B A+ = A+ and A+ B B+ = A+, since B is an
+    inner inverse of B+, so Q is idempotent and Q B+ = A+ in exact
+    arithmetic. Returns Q once both identities verify within tol, and None
+    when float roundoff breaks them.
     """
     _check_pair(a, b)
     if not leq_diamond(a, b, tol, rank_factor).verdict:
         raise DomainError("pair is not diamond-comparable")
     ad = moore_penrose(a, rank_factor)
-    bd = moore_penrose(b, rank_factor)
-
-    def verified(q: Matrix) -> bool:
-        return matrices_equal(q @ q, q, tol) and matrices_equal(q @ bd, ad, tol)
-
     q = ad @ b
-    if verified(q):
+    if (matrices_equal(q @ q, q, tol)
+            and matrices_equal(q @ moore_penrose(b, rank_factor), ad, tol)):
         return q
-    if rng is None:
-        rng = random.Random(0)
-    pa = a @ ad
-    qa = ad @ a
-    for _ in range(attempts):
-        w = _random_param(a.rows, a.cols, a.backend, rng)
-        g = a + w - pa @ w @ qa
-        q = ad @ g
-        if verified(q):
-            return q
     return None
 
 

@@ -55,13 +55,6 @@ def random_idempotent(r: int, k: int,
         return t if backend == EXACT else t.to_float()
 
 
-def _require_square_float(b: Matrix):
-    if b.backend != FLOAT:
-        raise BackendError("constructors need the float backend")
-    if not b.is_square:
-        raise ShapeError("need a square matrix, got %sx%s" % b.shape)
-
-
 def _checked_form(b: Matrix, t: Matrix, tol: float, rank_factor: float) -> HSForm:
     """The block form of b, once t is checked to be an idempotent of its size."""
     hs = hartwig_spindelbock(b, rank_factor)
@@ -144,10 +137,9 @@ def reverse_order_law(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     form. The criterion evaluates ((s^-1 t)+ k s)+ = s^-1 k* s^-1 t; the
     pair of booleans (direct, criterion) is returned and the two agree.
     """
-    _require_square_float(b)
+    hs = hartwig_spindelbock(b, rank_factor)
     if not leq_diamond(a, b, tol=tol, rank_factor=rank_factor).verdict:
         raise DomainError("pair is not diamond-comparable")
-    hs = hartwig_spindelbock(b, rank_factor)
     t = recover_idempotent(a, hs, tol, rank_factor)
     direct = matrices_equal(
         moore_penrose(a @ b, rank_factor),

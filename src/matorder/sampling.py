@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import EXACT, FLOAT, Matrix, hstack, vstack
+from .decomp import HSForm
+from .matrix import EXACT, FLOAT, Matrix
 from .pinv import moore_penrose
 
 
@@ -105,10 +106,7 @@ def random_base_matrix(n: int, r: int, rng: random.Random) -> Matrix:
     g = random_unitary(n, rng)
     k = g.submatrix(0, r, 0, r)
     l = g.submatrix(0, r, r, n)
-    s = Matrix.from_ndarray(np.diag(np.array(log_uniform_sigma(rng, r), dtype=complex)))
-    top = hstack(s @ k, s @ l)
-    core = vstack(top, Matrix.zeros(n - r, n, FLOAT))
-    return u @ core @ u.ct
+    return HSForm(u, log_uniform_sigma(rng, r), k, l).reconstruct()
 
 
 def random_spectrum_matrix(m: int, n: int, r: int, rng: random.Random) -> Matrix:

@@ -1,36 +1,20 @@
 """Scalar types for the two backends.
 
 Exact matrices hold ``GaussianRational`` entries (complex numbers with
-rational real and imaginary parts); float matrices hold plain ``complex``.
-Rational parts use gmpy2's mpq when available, otherwise fractions.Fraction.
-Both expose numerator/denominator and interoperate, so everything here is
-written against that common surface.
+rational real and imaginary parts, each a fractions.Fraction); float
+matrices hold plain ``complex``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover
-    _rat = Fraction
-
-RationalLike = Union[int, str, Fraction]
 
 
-def as_rational(value):
-    """Coerce an int, Fraction, mpq, or 'p/q' string to the rational type."""
-    if isinstance(value, int):
-        return _rat(value)
-    if isinstance(value, str):
-        return _rat(Fraction(value))
-    if isinstance(value, Fraction):
-        return _rat(value.numerator, value.denominator)
+def as_rational(value) -> Fraction:
+    """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to an exact rational")
-    return _rat(value)
+    return Fraction(value)
 
 
 def rational_str(q) -> str:
@@ -131,4 +115,4 @@ def gaussian(re=0, im=0) -> GaussianRational:
 
 
 def to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+    return Fraction(q)

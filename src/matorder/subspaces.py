@@ -88,8 +88,5 @@ def range_sum_check(a: Matrix, b: Matrix, rank_factor: float = RANK_FACTOR) -> b
     The sum's range always sits inside col(a) + col(b); equality is a
     rank comparison against the stacked matrix [a | b].
     """
-    if a.shape != b.shape:
-        raise ShapeError("need equal shapes, got %s and %s" % (a.shape, b.shape))
-    if a.backend != b.backend:
-        raise BackendError("mixed backends")
+    a._check_same_shape(b, "range_sum_check")
     return rank(a + b, rank_factor) == rank(hstack(a, b), rank_factor)

@@ -39,6 +39,13 @@ def test_check_true_pair(files, capsys):
     assert payload["relation"] == "diamond"
 
 
+def test_check_space_on_empty_columns(files, capsys):
+    a = files("a.json", Matrix.zeros(3, 0))
+    code, out, _ = run(capsys, "check", "--order", "space", a, a)
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
 def test_check_false_pair_exits_one(files, capsys):
     a, b = files("a.json", A), files("b2.json", B2)
     code, out, _ = run(capsys, "check", "--order", "diamond", a, b)

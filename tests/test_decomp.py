@@ -182,3 +182,5 @@ def test_canonical_pair_rejections():
         diamond_canonical_pair(_f([[1, 1], [0, 0]]), _f([[1, 0], [0, 0]]))
     with pytest.raises(BackendError):
         diamond_canonical_pair(Matrix.exact([[1]]), Matrix.exact([[1]]))
+    with pytest.raises(ShapeError):
+        diamond_canonical_pair(_f([[1, 0]]), b)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
-                      ShapeError, diamond_via_dagger_minus,
+from matorder import (DIAMOND_ROUTES, EXACT, FLOAT, RELATIONS, BackendError,
+                      Matrix, ShapeError, build_poset, diamond_via_dagger_minus,
                       diamond_via_range_split, diamond_via_rank,
                       idempotent_factor_witness, left_star_equivalents,
                       leq_diamond, leq_left_star, leq_minus, leq_right_star,
@@ -232,6 +232,21 @@ def test_factor_witness_examples():
         idempotent_factor_witness(A1, B2)
 
 
+def test_factor_witness_is_pinv_times_base():
+    from matorder.sampling import exact_pair, float_pair
+
+    rng = random.Random(17)
+    found = {EXACT: 0, FLOAT: 0}
+    draws = [exact_pair(rng, rng.randint(1, 4), rng.randint(1, 4))
+             for _ in range(60)]
+    draws += [float_pair(rng, rng.randint(2, 8)) for _ in range(30)]
+    for _, a, b in draws:
+        if leq_diamond(a, b).verdict:
+            found[a.backend] += 1
+            assert idempotent_factor_witness(a, b) == moore_penrose(a) @ b
+    assert found[EXACT] >= 10 and found[FLOAT] >= 10
+
+
 def test_projector_transfer_forward_only():
     direct, projected = projector_transfer(A1, B1, "diamond")
     assert direct and projected
@@ -257,3 +272,14 @@ def test_pair_validation_errors():
         leq_minus(A1, B1.to_float())
     with pytest.raises(Exception):
         projector_transfer(A1, B1, "no-such-relation")
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_space_order_on_empty_pairs(backend, shape):
+    # the sampled inner-inverse parameters of a 3x0 pair are 0x3
+    a = Matrix.zeros(*shape, backend)
+    rep = leq_space(a, a)
+    assert rep.verdict and rep.witnesses["inner_inverse_identities"] is True
+    assert projector_transfer(a, a, "space") == (True, True)
+    assert build_poset([("x", a), ("y", a)], "space").nodes == (("x", "y"),)

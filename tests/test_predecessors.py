@@ -129,6 +129,19 @@ def test_reverse_order_law_needs_diamond():
         reverse_order_law(a, b)
 
 
+def test_reverse_order_law_input_validation():
+    # the base's block form is taken before any order check
+    with pytest.raises(BackendError):
+        reverse_order_law(Matrix.exact([[0, 1], [0, 0]]),
+                          Matrix.exact([[2, 0], [0, 1]]))
+    with pytest.raises(ShapeError):
+        reverse_order_law(Matrix.zeros(2, 3, FLOAT), Matrix.zeros(2, 3, FLOAT))
+    with pytest.raises(ShapeError):
+        reverse_order_law(Matrix.zeros(3, 3, FLOAT), DIAG)
+    with pytest.raises(BackendError):
+        reverse_order_law(Matrix.exact([[0, 1], [0, 0]]), DIAG)
+
+
 def test_bidagger_cases():
     assert is_bidagger(Matrix.from_complex([[0, 1], [0, 0]])) == (True, True)
     assert is_bidagger(DIAG) == (True, True)

@@ -69,6 +69,13 @@ def test_range_sum_check_cases():
     assert range_sum_check(a, Matrix.exact([[0, 0], [0, 1]]))
 
 
+def test_range_sum_check_validation():
+    with pytest.raises(ShapeError):
+        range_sum_check(Matrix.identity(2), Matrix.identity(3))
+    with pytest.raises(BackendError):
+        range_sum_check(Matrix.identity(2), Matrix.identity(2, FLOAT))
+
+
 def test_range_sum_check_on_pseudoinverse_difference():
     a = Matrix.exact([[0, 1], [0, 0]])
     b = Matrix.exact([[1, 1], [0, 1]])
