@@ -54,7 +54,11 @@ def _resolve_backend(args, mats, need_float: bool = False):
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise MatOrderError("result holds a non-finite number") from exc
+    print(text)
 
 
 def cmd_check(args) -> int:

@@ -45,7 +45,7 @@ class RunConfig:
     def __post_init__(self):
         if self.backend not in (EXACT, FLOAT):
             raise MatOrderError("unknown backend %r" % self.backend)
-        if self.tol <= 0 or self.rank_factor <= 0:
+        if not (self.tol > 0 and self.rank_factor > 0):
             raise MatOrderError("tolerances must be positive")
         if not 1 <= self.dim_min <= self.dim_max:
             raise MatOrderError("need 1 <= dim_min <= dim_max")

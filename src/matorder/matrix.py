@@ -1,14 +1,17 @@
 """Dense complex matrices over an exact rational or floating backend.
 
-A Matrix is an immutable value: fixed shape, one backend for all entries,
-held in one read-only 2-d numpy array. The exact backend stores
-GaussianRational entries in an object array and supports decidable
-equality and rank; its products and eliminations run on the matrix's
-integer form, Gaussian-integer numerators over one common denominator.
-The float backend stores finite complex128 entries; comparisons there go
-through ``matrices_equal`` with a relative Frobenius tolerance, and rank
-goes through singular values with a spectral cutoff. Each arithmetic
-kernel is one numpy expression on the stored arrays.
+A Matrix is an immutable value: fixed shape, one backend for all entries.
+An exact matrix lives in its integer form: two read-only object arrays of
+Python-int numerators, real and imaginary, over one positive common
+denominator that shares no factor with all of them. Every exact kernel
+(products, sums, scaling, adjoints, slicing, stacking, elimination) runs
+on that form, so equality is a comparison of integers and rank is decided
+by a fraction-free elimination. The GaussianRational entries are built
+only when read, at the constructor, JSON and display boundary. The float
+backend stores finite complex128 entries; comparisons there go through
+``matrices_equal`` with a relative Frobenius tolerance, and rank goes
+through singular values with a spectral cutoff. Each arithmetic kernel is
+one numpy expression on the stored arrays.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError, DomainError, MatOrderError, ShapeError
-from .scalars import (GR_ONE, GR_ZERO, GaussianRational, as_rational,
-                      rational_str)
+from .scalars import GaussianRational
 
 EXACT = "exact"
 FLOAT = "float"
@@ -32,18 +34,17 @@ EQ_TOL = 1e-9
 RANK_FACTOR = 64.0
 EPS = 2.0 ** -52
 
-# backend -> (array dtype, zero, one)
-_KIND = {EXACT: (object, GR_ZERO, GR_ONE), FLOAT: (complex, 0j, 1 + 0j)}
-_ABS_SQ = np.frompyfunc(GaussianRational.abs_sq, 1, 1)
+# backend -> dtype of its arrays
+_DTYPE = {EXACT: object, FLOAT: complex}
 _DIVMOD = np.frompyfunc(divmod, 2, 2)
 
 
-def _kind(rows: int, cols: int, backend: str) -> tuple:
+def _dtype(rows: int, cols: int, backend: str):
     if rows < 0 or cols < 0:
         raise ShapeError("negative dimension")
-    if backend not in _KIND:
+    if backend not in _DTYPE:
         raise BackendError("unknown backend %r" % backend)
-    return _KIND[backend]
+    return _DTYPE[backend]
 
 
 def _coerce_exact(value) -> GaussianRational:
@@ -61,11 +62,40 @@ def _read_only(arr):
     return arr
 
 
+def _finite(arr):
+    """The float array ``arr``, made read-only once its entries are checked
+    finite."""
+    if not np.isfinite(arr).all():
+        raise DomainError("float entries must be finite: the input holds "
+                          "NaN or infinity, or the arithmetic overflowed")
+    arr.flags.writeable = False
+    return arr
+
+
 def _gaussian_array(re, im, d: int):
     """The GaussianRational array (re + i·im) / d, for integer arrays re, im."""
     values = [GaussianRational._raw(Fraction(x, d), Fraction(y, d))
               for x, y in zip(re.flat, im.flat)]
     return np.array(values, dtype=object).reshape(re.shape)
+
+
+def _integer_form(entries) -> tuple:
+    """The canonical integer form of a GaussianRational array: d is the lcm
+    of the denominators of every real and imaginary part."""
+    parts = [q for v in entries.flat for q in (v.re, v.im)]
+    d = math.lcm(*(q.denominator for q in parts))
+    nums = np.array([q.numerator * (d // q.denominator) for q in parts],
+                    dtype=object).reshape(*entries.shape, 2)
+    return _read_only(nums[..., 0]), _read_only(nums[..., 1]), d
+
+
+def _over_common_denominator(mats) -> tuple:
+    """The numerators of the exact ``mats`` over the lcm d of their
+    denominators, as ([(re, im), ...], d)."""
+    forms = [m.integer_form for m in mats]
+    d = math.lcm(*(e for _, _, e in forms))
+    return [(re, im) if e == d else (re * (d // e), im * (d // e))
+            for re, im, e in forms], d
 
 
 def _coerce_float(value) -> complex:
@@ -80,16 +110,20 @@ class Matrix:
     """Immutable dense m-by-n complex matrix tied to one scalar backend.
 
     ``entries`` is a read-only 2-d ndarray: GaussianRational objects on the
-    exact backend, complex128 on the float backend. ``_memo`` holds what
-    ``ct``, ``integer_form`` and the ``memoized`` factorizations computed
-    on this matrix.
+    exact backend, complex128 on the float backend. An exact matrix holds
+    ``_ints``, its canonical integer form (``integer_form``), and builds
+    ``entries`` from it on first read; one built from entries computes the
+    form on first use instead. A float matrix always holds ``_entries``, so
+    the float branches read that slot and skip the property. ``_memo`` holds
+    what ``ct``, the exact elimination and the ``memoized`` factorizations
+    computed on this matrix.
     """
 
-    __slots__ = ("rows", "cols", "backend", "entries", "_memo")
+    __slots__ = ("rows", "cols", "backend", "_entries", "_ints", "_memo")
 
     def __init__(self, rows: int, cols: int, backend: str, entries):
         """Copy ``entries``, a nested sequence or an array, into a new matrix."""
-        dtype = _kind(rows, cols, backend)[0]
+        dtype = _dtype(rows, cols, backend)
         try:
             arr = np.array(entries, dtype=dtype)
         except (TypeError, ValueError) as exc:
@@ -98,25 +132,37 @@ class Matrix:
             arr = arr.reshape(0, cols)
         if arr.shape != (rows, cols):
             raise ShapeError("entry grid does not match declared shape")
-        self._store(backend, arr)
+        arr = _finite(arr) if backend == FLOAT else _read_only(arr)
+        self._set(backend, arr.shape, "_entries", arr)
 
-    def _store(self, backend: str, arr):
-        if backend == FLOAT and not np.isfinite(arr).all():
-            raise DomainError("float entries must be finite: the input holds "
-                              "NaN or infinity, or the arithmetic overflowed")
-        arr.flags.writeable = False
-        object.__setattr__(self, "rows", arr.shape[0])
-        object.__setattr__(self, "cols", arr.shape[1])
+    def _set(self, backend: str, shape: tuple, slot: str, value):
+        """Fill a new matrix that stores ``value`` in ``slot``: its entry
+        array ``_entries`` or its integer form ``_ints``."""
+        object.__setattr__(self, "rows", shape[0])
+        object.__setattr__(self, "cols", shape[1])
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, slot, value)
 
     @classmethod
-    def _wrap(cls, backend: str, arr) -> "Matrix":
-        """A matrix on ``arr`` without a copy: a 2-d array of the backend's
-        dtype that no one writes to afterwards."""
+    def _wrap(cls, arr) -> "Matrix":
+        """A float matrix on ``arr`` without a copy: a 2-d complex array that
+        no one writes to afterwards."""
         out = object.__new__(cls)
-        out._store(backend, arr)
+        out._set(FLOAT, arr.shape, "_entries", _finite(arr))
+        return out
+
+    @classmethod
+    def _from_ints(cls, re, im, d: int, reduced: bool = False) -> "Matrix":
+        """The exact matrix (re + i·im) / d, for object arrays re, im of ints
+        and d > 0, on those arrays without a copy. The form is divided by
+        the gcd of d and every numerator unless ``reduced`` says it is 1."""
+        if not reduced and d != 1:
+            g = math.gcd(d, *re.flat, *im.flat)
+            if g != 1:
+                re, im, d = re // g, im // g, d // g
+        out = object.__new__(cls)
+        out._set(EXACT, re.shape, "_ints", (_read_only(re), _read_only(im), d))
         return out
 
     def __setattr__(self, name, value):
@@ -140,15 +186,17 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Matrix":
-        dtype, zero, _ = _kind(rows, cols, backend)
-        return cls._wrap(backend, np.full((rows, cols), zero, dtype=dtype))
+        arr = np.zeros((rows, cols), dtype=_dtype(rows, cols, backend))
+        if backend == FLOAT:
+            return cls._wrap(arr)
+        return cls._from_ints(arr, arr, 1)
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
-        dtype, zero, one = _kind(n, n, backend)
-        arr = np.full((n, n), zero, dtype=dtype)
-        np.fill_diagonal(arr, one)
-        return cls._wrap(backend, arr)
+        arr = np.eye(n, dtype=_dtype(n, n, backend))
+        if backend == FLOAT:
+            return cls._wrap(arr)
+        return cls._from_ints(arr, np.zeros((n, n), dtype=object), 1)
 
     @classmethod
     def from_ndarray(cls, arr) -> "Matrix":
@@ -158,6 +206,18 @@ class Matrix:
         return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     # -- basic views ---------------------------------------------------
+
+    @property
+    def entries(self):
+        """The read-only 2-d array of entries; an exact matrix built from
+        its integer form builds its GaussianRational array on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            re, im, d = self._ints
+            arr = _read_only(_gaussian_array(re, im, d))
+            object.__setattr__(self, "_entries", arr)
+            return arr
 
     @property
     def shape(self) -> tuple:
@@ -173,18 +233,18 @@ class Matrix:
     def to_ndarray(self):
         """The entries as complex128; on the float backend, the stored array."""
         if self.backend == FLOAT:
-            return self.entries
-        return self.entries.astype(complex)
+            return self._entries
+        re, im, d = self.integer_form
+        # int / int rounds correctly, so each value is complex() of the entry
+        values = [complex(x / d, y / d) for x, y in zip(re.flat, im.flat)]
+        return np.array(values, dtype=complex).reshape(self.shape)
 
     def to_float(self) -> "Matrix":
         if self.backend == FLOAT:
             return self
-        return Matrix._wrap(FLOAT, self.to_ndarray())
+        return Matrix._wrap(self.to_ndarray())
 
     # -- arithmetic ----------------------------------------------------
-
-    def _like(self, arr) -> "Matrix":
-        return Matrix._wrap(self.backend, arr)
 
     def _check_same_backend(self, other: "Matrix"):
         if self.backend != other.backend:
@@ -200,16 +260,25 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other, "addition")
-        return self._like(self.entries + other.entries)
+        if self.backend == FLOAT:
+            return Matrix._wrap(self._entries + other._entries)
+        ((xr, xi), (yr, yi)), d = _over_common_denominator((self, other))
+        return Matrix._from_ints(xr + yr, xi + yi, d)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other, "subtraction")
-        return self._like(self.entries - other.entries)
+        if self.backend == FLOAT:
+            return Matrix._wrap(self._entries - other._entries)
+        ((xr, xi), (yr, yi)), d = _over_common_denominator((self, other))
+        return Matrix._from_ints(xr - yr, xi - yi, d)
 
     def __neg__(self) -> "Matrix":
-        return self._like(-self.entries)
+        if self.backend == FLOAT:
+            return Matrix._wrap(-self._entries)
+        re, im, d = self.integer_form
+        return Matrix._from_ints(-re, -im, d, reduced=True)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -218,22 +287,26 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError("product needs inner dims to agree, got %s and %s" % (self.shape, other.shape))
         if self.backend == FLOAT:
-            return self._like(self.entries @ other.entries)
+            return Matrix._wrap(self._entries @ other._entries)
         xr, xi, dx = self.integer_form
         yr, yi, dy = other.integer_form
-        re, im, d = xr @ yr - xi @ yi, xr @ yi + xi @ yr, dx * dy
-        out = self._like(_gaussian_array(re, im, d))
-        # the product's own integer form: the next product starts from it
-        g = math.gcd(d, *re.flat, *im.flat)
-        out._memo["ints"] = (_read_only(re // g), _read_only(im // g), d // g)
-        return out
+        return Matrix._from_ints(xr @ yr - xi @ yi, xr @ yi + xi @ yr, dx * dy)
 
     def scale(self, scalar) -> "Matrix":
-        s = _coerce_exact(scalar) if self.backend == EXACT else _coerce_float(scalar)
-        return self._like(s * self.entries)
+        if self.backend == FLOAT:
+            return Matrix._wrap(_coerce_float(scalar) * self._entries)
+        s = _coerce_exact(scalar)
+        q = math.lcm(s.re.denominator, s.im.denominator)
+        sr = s.re.numerator * (q // s.re.denominator)
+        si = s.im.numerator * (q // s.im.denominator)
+        re, im, d = self.integer_form
+        return Matrix._from_ints(sr * re - si * im, sr * im + si * re, d * q)
 
     def conj_transpose(self) -> "Matrix":
-        return self._like(self.entries.conj().T)
+        if self.backend == FLOAT:
+            return Matrix._wrap(self._entries.conj().T)
+        re, im, d = self.integer_form
+        return Matrix._from_ints(re.T, -im.T, d, reduced=True)
 
     @property
     def ct(self) -> "Matrix":
@@ -246,41 +319,43 @@ class Matrix:
 
     @property
     def integer_form(self) -> tuple:
-        """``(re, im, d)`` with entries == (re + i·im) / d, computed once per
-        exact matrix: re and im are read-only object arrays of Python ints,
-        d > 0 is the lcm of the denominators of every real and imaginary part."""
+        """``(re, im, d)`` with entries == (re + i·im) / d: re and im are
+        read-only object arrays of Python ints, and d > 0 is the lcm of the
+        denominators of every real and imaginary part, so d shares no factor
+        with all the numerators and two equal matrices have equal forms."""
         if self.backend != EXACT:
             raise BackendError("the integer form is an exact-backend value")
-        memo = self._memo
-        if "ints" not in memo:
-            parts = [q for v in self.entries.flat for q in (v.re, v.im)]
-            d = math.lcm(*(q.denominator for q in parts))
-            nums = np.array([q.numerator * (d // q.denominator) for q in parts],
-                            dtype=object).reshape(self.rows, self.cols, 2)
-            memo["ints"] = (_read_only(nums[..., 0]), _read_only(nums[..., 1]), d)
-        return memo["ints"]
+        try:
+            return self._ints
+        except AttributeError:
+            form = _integer_form(self._entries)
+            object.__setattr__(self, "_ints", form)
+            return form
 
     # -- predicates and norms -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.entries.any()
+        if self.backend == FLOAT:
+            return not self._entries.any()
+        re, im, _ = self.integer_form
+        return not (re.any() or im.any())
 
     def frobenius_sq(self):
         """Squared Frobenius norm; exact rational on the exact backend."""
         if self.backend == EXACT:
-            return np.add.reduce(_ABS_SQ(self.entries), axis=None,
-                                 initial=as_rational(0))
+            re, im, d = self.integer_form
+            return Fraction((re * re + im * im).sum(initial=0), d * d)
         return self.frobenius() ** 2
 
     def frobenius(self) -> float:
         if self.backend == EXACT:
             return math.sqrt(float(self.frobenius_sq()))
-        norm = float(np.linalg.norm(self.entries))
+        norm = float(np.linalg.norm(self._entries))
         if norm == math.inf:
             # the squares of entries beyond 1e154 overflowed: compute again
             # on the entries scaled by a power of two, which is exact
-            scale = math.ldexp(1.0, math.frexp(np.abs(self.entries).max())[1] - 1)
-            norm = scale * float(np.linalg.norm(self.entries / scale))
+            scale = math.ldexp(1.0, math.frexp(np.abs(self._entries).max())[1] - 1)
+            norm = scale * float(np.linalg.norm(self._entries / scale))
             if norm == math.inf:
                 raise DomainError("Frobenius norm beyond the float range")
         return norm
@@ -288,12 +363,21 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.backend == other.backend and self.shape == other.shape
-                and bool((self.entries == other.entries).all()))
+        if self.backend != other.backend or self.shape != other.shape:
+            return False
+        if self.backend == FLOAT:
+            return bool((self._entries == other._entries).all())
+        # both forms are canonical, so equal matrices have equal forms
+        xr, xi, dx = self.integer_form
+        yr, yi, dy = other.integer_form
+        return dx == dy and bool((xr == yr).all()) and bool((xi == yi).all())
 
     def __hash__(self):
-        # by value, so that -0.0 and 0.0 hash alike as they compare equal
-        return hash((self.backend, self.shape, tuple(self.entries.flat)))
+        if self.backend == FLOAT:
+            # by value, so that -0.0 and 0.0 hash alike as they compare equal
+            return hash((self.backend, self.shape, tuple(self._entries.flat)))
+        re, im, d = self.integer_form
+        return hash((self.backend, self.shape, d, tuple(re.flat), tuple(im.flat)))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(v) for v in row) for row in self.entries.tolist())
@@ -304,7 +388,17 @@ class Matrix:
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ShapeError("submatrix bounds out of range")
-        return self._like(self.entries[r0:r1, c0:c1])
+        return self._take(np.s_[r0:r1, c0:c1])
+
+    def columns(self, index: Sequence[int]) -> "Matrix":
+        """The matrix of the columns of self at ``index``, in that order."""
+        return self._take(np.s_[:, list(index)])
+
+    def _take(self, key) -> "Matrix":
+        if self.backend == FLOAT:
+            return Matrix._wrap(self._entries[key])
+        re, im, d = self.integer_form
+        return Matrix._from_ints(re[key], im[key], d)
 
 
 def _stack(join, mats, side: int, message: str) -> Matrix:
@@ -316,7 +410,13 @@ def _stack(join, mats, side: int, message: str) -> Matrix:
         first._check_same_backend(m)
         if m.shape[side] != first.shape[side]:
             raise ShapeError(message)
-    return first._like(join([m.entries for m in mats]))
+    if first.backend == FLOAT:
+        return Matrix._wrap(join([m._entries for m in mats]))
+    parts, d = _over_common_denominator(mats)
+    # over the lcm, the block holding the highest power of each prime of d
+    # keeps a numerator prime to it, so the joined form is canonical
+    return Matrix._from_ints(join([re for re, _ in parts]),
+                             join([im for _, im in parts]), d, reduced=True)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -366,16 +466,29 @@ def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
 def float_residual(a: Matrix, b: Matrix, tol: float) -> tuple:
     """The relative Frobenius rule for float equality as (diff, bound):
     |a - b|_F and tol * (1 + |a|_F + |b|_F); a equals b when diff <= bound."""
-    bound = tol * (1.0 + a.frobenius() + b.frobenius())
-    if bound == math.inf:
-        raise DomainError("equality bound beyond the float range")
+    bound = tolerance_bound(tol, 1.0 + a.frobenius() + b.frobenius())
     return (a - b).frobenius(), bound
+
+
+def tolerance_bound(tol: float, scale: float) -> float:
+    """tol * scale, a float threshold relative to the operands' scale.
+
+    A negative or NaN tol, or a scale beyond the float range, leaves no
+    threshold that separates equal from unequal, so anything but a finite
+    non-negative bound is a DomainError.
+    """
+    bound = tol * scale
+    if not 0.0 <= bound < math.inf:
+        raise DomainError("tolerance bound %r is not a finite non-negative "
+                          "number: tol must be >= 0 and the operands within "
+                          "the float range" % bound)
+    return bound
 
 
 def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
     if a.backend == EXACT:
         return a.is_zero()
-    return a.frobenius() <= tol * (1.0 + a.frobenius())
+    return a.frobenius() <= tolerance_bound(tol, 1.0 + a.frobenius())
 
 
 def _exact_quotient(x, n):
@@ -384,6 +497,16 @@ def _exact_quotient(x, n):
     if rem.any():
         raise ArithmeticError("inexact division in fraction-free elimination")
     return q
+
+
+def _elimination(a: Matrix) -> tuple:
+    """``_gauss_jordan(a)``, run once per matrix: kept in ``a._memo`` with
+    read-only rows and the pivot columns as a tuple."""
+    memo = a._memo
+    if "gauss_jordan" not in memo:
+        re, im, last, pivots = _gauss_jordan(a)
+        memo["gauss_jordan"] = (_read_only(re), _read_only(im), last, tuple(pivots))
+    return memo["gauss_jordan"]
 
 
 def _gauss_jordan(a: Matrix):
@@ -426,7 +549,9 @@ def _gauss_jordan(a: Matrix):
             norm = qr * qr + qi * qi
         else:
             norm = qr
-        re, im = _exact_quotient(xr, norm), _exact_quotient(xi, norm)
+        if norm != 1:
+            xr, xi = _exact_quotient(xr, norm), _exact_quotient(xi, norm)
+        re, im = xr, xi
         re[r], im[r] = row_re, row_im
         pivots.append(c)
         qr, qi = pr, pi
@@ -437,16 +562,15 @@ def exact_rref(a: Matrix):
     """Reduced row echelon form of an exact matrix with its pivot columns."""
     if a.backend != EXACT:
         raise BackendError("row reduction is an exact-backend operation")
-    re, im, (pr, pi), pivots = _gauss_jordan(a)
+    re, im, (pr, pi), pivots = _elimination(a)
     # x / p = x·conj(p) / |p|^2
-    red = _gaussian_array(re * pr + im * pi, im * pr - re * pi, pr * pr + pi * pi)
-    return Matrix._wrap(EXACT, red), tuple(pivots)
+    return Matrix._from_ints(re * pr + im * pi, im * pr - re * pi, pr * pr + pi * pi), pivots
 
 
 def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
     """Rank: pivot count (exact) or singular values above a spectral cutoff (float)."""
     if a.backend == EXACT:
-        return len(_gauss_jordan(a)[3])
+        return len(_elimination(a)[3])
     return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
                          a.shape, rank_factor)
 
@@ -478,12 +602,19 @@ def inverse(a: Matrix) -> Matrix:
 # -- JSON wire format ---------------------------------------------------
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """The 'p/q' encoding of n/d: reduced, q > 0 (for d > 0)."""
+    g = math.gcd(n, d)
+    return "%d/%d" % (n // g, d // g)
+
+
 def matrix_to_dict(a: Matrix) -> dict:
     if a.backend == EXACT:
-        ent = [[[rational_str(v.re), rational_str(v.im)] for v in row]
-               for row in a.entries.tolist()]
+        re, im, d = a.integer_form
+        ent = [[[_ratio_str(x, d), _ratio_str(y, d)] for x, y in zip(xs, ys)]
+               for xs, ys in zip(re.tolist(), im.tolist())]
     else:
-        ent = np.stack([a.entries.real, a.entries.imag], axis=-1).tolist()
+        ent = np.stack([a._entries.real, a._entries.imag], axis=-1).tolist()
     return {"rows": a.rows, "cols": a.cols, "backend": a.backend, "entries": ent}
 
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
-                     float_residual, matrices_equal, rank, spectral_rank)
+                     float_residual, matrices_equal, rank, spectral_rank,
+                     tolerance_bound)
 from .pinv import moore_penrose, projector_range
 from .scalars import GaussianRational
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -281,7 +282,9 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     eye = Matrix.identity(a.cols, a.backend)
-    floor = tol * (1.0 + ad.frobenius() + bd.frobenius())
+    floor = 0.0  # exact ranks take no floor
+    if a.backend == FLOAT:
+        floor = tolerance_bound(tol, 1.0 + ad.frobenius() + bd.frobenius())
     r_diff = _rank_above(bd - ad, floor, rank_factor)
     r_proj = _rank_above((eye - ad @ a) @ bd, floor, rank_factor)
     incl = _range_leq(a.ct, b.ct, rank_factor)

@@ -62,7 +62,7 @@ def _exact_pinv(a: Matrix) -> Matrix:
     r = len(pivots)
     if r == 0:
         return Matrix.zeros(a.cols, a.rows, EXACT)
-    c = Matrix(a.rows, r, EXACT, a.entries[:, pivots])
+    c = a.columns(pivots)
     rr = red.submatrix(0, r, 0, a.cols)
     left = inverse(rr @ rr.ct)
     right = inverse(c.ct @ c)

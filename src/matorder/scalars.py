@@ -1,7 +1,10 @@
 """Scalar types for the two backends.
 
-Exact matrices hold ``GaussianRational`` entries (complex numbers with
-rational real and imaginary parts, each a fractions.Fraction); float
+``GaussianRational`` is a complex number with rational real and imaginary
+parts, each a fractions.Fraction. It is the exact backend's scalar at the
+boundary: what ``Matrix.exact`` and the JSON reader take, and what an exact
+matrix's ``entries`` and indexing give back. Exact arithmetic on whole
+matrices runs on their integer form instead (see ``matrix``). Float
 matrices hold plain ``complex``.
 """
 

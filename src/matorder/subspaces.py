@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import (EXACT, RANK_FACTOR, Matrix, _gauss_jordan, hstack,
+from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, hstack,
                      memoized, rank, spectral_rank)
 
 
@@ -41,9 +41,7 @@ def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
     the rank cutoff, so the returned basis is orthonormal.
     """
     if a.backend == EXACT:
-        pivots = _gauss_jordan(a)[3]
-        return SubspaceBasis(a.rows, Matrix(a.rows, len(pivots), EXACT,
-                                            a.entries[:, pivots]))
+        return SubspaceBasis(a.rows, a.columns(_elimination(a)[3]))
     u, s, _ = np.linalg.svd(a.to_ndarray())
     r = spectral_rank(s, a.shape, rank_factor)
     return SubspaceBasis(a.rows, Matrix.from_ndarray(u[:, :r]))

@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from matorder import Matrix, matrix_to_json
-from matorder.cli import main
+from matorder import MatOrderError, Matrix, matrix_to_json
+from matorder.cli import _emit, main
 
 A = Matrix.exact([[0, 1], [0, 0]])
 B = Matrix.exact([[1, 1], [0, 1]])
@@ -256,3 +256,28 @@ def test_exact_flag_refuses_float_input(files, capsys):
     code, _, err = run(capsys, "--backend", "exact", "pinv", bf)
     assert code == 2
     assert "exact" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("order, via", [("star", "definition"), ("minus", "definition"),
+                                        ("diamond", "definition"), ("diamond", "rank")])
+def test_invalid_tolerance_is_a_usage_error(files, capsys, tol, order, via):
+    a = files("a.json", Matrix.from_complex([[1, 2j], [0, 3]]))
+    code, out, err = run(capsys, "--tol", tol, "check", "--order", order,
+                         "--via", via, a, a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_fuzz_rejects_nan_tolerance(capsys):
+    code, out, err = run(capsys, "--tol", "nan", "fuzz", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_non_finite_result_is_a_usage_error(capsys):
+    with pytest.raises(MatOrderError):
+        _emit({"margin": float("nan")})
+    assert capsys.readouterr().out == ""

@@ -20,6 +20,9 @@ def test_config_validation():
         RunConfig(tol=0.0)
     with pytest.raises(MatOrderError):
         RunConfig(rank_factor=-1.0)
+    for knob in ("tol", "rank_factor"):
+        with pytest.raises(MatOrderError):
+            RunConfig(**{knob: float("nan")})
     with pytest.raises(MatOrderError):
         RunConfig(dim_min=0)
     with pytest.raises(MatOrderError):

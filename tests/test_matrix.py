@@ -94,6 +94,26 @@ def reference_product(a, b, zero=GR_ZERO):
     return out
 
 
+def reference_kernels(a, b, s, r0, r1, c0, c1, cols):
+    """(kernel result, reference entries) for each exact kernel but the
+    product. The references are the object-array expressions in
+    GaussianRational arithmetic that those kernels were before they moved
+    to integer forms: a, b share a shape, s is a scalar, (r0, r1, c0, c1)
+    are submatrix bounds and cols a list of column indices."""
+    x, y = a.entries, b.entries
+    return {
+        "add": (a + b, x + y),
+        "sub": (a - b, x - y),
+        "neg": (-a, -x),
+        "scale": (a.scale(s), s * x),
+        "ct": (a.ct, x.conj().T),
+        "submatrix": (a.submatrix(r0, r1, c0, c1), x[r0:r1, c0:c1]),
+        "columns": (a.columns(cols), x[:, cols]),
+        "hstack": (hstack(a, b), np.hstack([x, y])),
+        "vstack": (vstack(a, b), np.vstack([x, y])),
+    }
+
+
 def reference_echelon(rows, nrows: int, ncols: int):
     """Forward elimination of a list of rows in place, in GaussianRational
     arithmetic, pivoting on the first nonzero entry; returns pivot columns."""
@@ -386,6 +406,90 @@ def test_exact_stack_agrees_with_sympy():
             assert residual.is_zero_matrix
 
     check()
+
+
+@st.composite
+def kernel_operands(draw, max_dim=6):
+    """Two m x n Gaussian-rational matrices with m, n in 0..max_dim, mixed
+    denominators and some zero rows and columns, with a scalar, submatrix
+    bounds and a column selection. The second matrix is built by a kernel,
+    so it holds only its integer form until its entries are read."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+
+    def grid():
+        rows = draw(st.lists(st.lists(GAUSSIAN, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else ():
+            rows[i] = [GR_ZERO] * n
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+            for row in rows:
+                row[j] = GR_ZERO
+        return Matrix(m, n, EXACT, rows)
+
+    a, b = grid(), grid().ct.ct
+    r0, r1 = sorted(draw(st.integers(0, m)) for _ in range(2))
+    c0, c1 = sorted(draw(st.integers(0, n)) for _ in range(2))
+    cols = draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+    return a, b, draw(GAUSSIAN), (r0, r1, c0, c1), cols
+
+
+def listed_form(m):
+    re, im, d = m.integer_form
+    return re.tolist(), im.tolist(), d
+
+
+def assert_canonical(m):
+    """m's integer form has int numerators over d > 0, the lcm of the
+    denominators of its entries, which shares no factor with all of them."""
+    re, im, d = m.integer_form
+    nums = list(re.flat) + list(im.flat)
+    assert all(type(x) is int for x in nums) and type(d) is int
+    assert d > 0 and math.gcd(d, *nums) == 1
+    assert d == math.lcm(*(q.denominator for v in m.entries.flat for q in (v.re, v.im)))
+    assert (re.shape, im.shape) == (m.shape, m.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_operands())
+def test_exact_kernels_match_object_array_references(operands):
+    a, b, s, bounds, cols = operands
+    checked = reference_kernels(a, b, s, *bounds, cols)
+    checked["product"] = (a @ b.ct, reference_product(a, b.ct))
+    checked["product of kernel results"] = (
+        (a - b) @ (a + b).ct, reference_product(a - b, (a + b).ct))
+    red, _ = exact_rref(vstack(a, b))
+    checked["rref"] = (red, reference_rref(vstack(a, b))[0])
+    for name, (got, ref) in checked.items():
+        ref = np.array(ref, dtype=object).reshape(got.shape)
+        assert got.entries.tolist() == ref.tolist(), name
+        assert_canonical(got)
+    assert_canonical(a)
+    assert_canonical(b)
+    assert a.frobenius_sq() == sum((v.abs_sq() for v in a.entries.flat), Fraction(0))
+    assert a.is_zero() == (not any(a.entries.flat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_operands())
+def test_equality_and_hash_agree_across_construction_routes(operands):
+    a, b, _, _, _ = operands
+    m, n = a.shape
+    routes = {
+        "constructor": Matrix(m, n, EXACT, a.entries.tolist()),
+        "product": Matrix.identity(m) @ a @ Matrix.identity(n),
+        "json": matrix_from_json(matrix_to_json(a)),
+        "submatrix of a stack": hstack(b, a, b).submatrix(0, m, n, 2 * n),
+        "sum": (a + b) - b,
+        "scaled": a.scale(3).scale("1/3"),
+    }
+    form = listed_form(a)
+    for name, m2 in routes.items():
+        assert m2 == a and a == m2, name
+        assert hash(m2) == hash(a), name
+        assert listed_form(m2) == form, name
+    same = a.entries.tolist() == b.entries.tolist()
+    assert (a == b) == same and (a != b) == (not same)
+    assert not same or hash(a) == hash(b)
 
 
 def test_json_round_trip_exact():

@@ -1,5 +1,7 @@
-"""Per-matrix memo: the adjoint, pseudoinverse, column space, block form and
-exact integer form are computed once per Matrix object and change no result."""
+"""Per-matrix memo: the adjoint, pseudoinverse, column space, block form,
+exact integer form and exact elimination are computed once per Matrix
+object, exact entries are built only when read, and none of it changes a
+result."""
 
 import dataclasses
 import math
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
-                      build_poset, column_space, exact_rref, hartwig_spindelbock, matrix,
-                      moore_penrose, pinv, rank)
+                      build_poset, column_space, exact_rref, hartwig_spindelbock,
+                      hstack, matrix, moore_penrose, pinv, rank, vstack)
+from matorder.scalars import GaussianRational
 from matorder.sampling import random_base_matrix
 
 ROUTES = list(RELATIONS.items()) + [("diamond/" + k, f)
@@ -163,3 +166,55 @@ def test_integer_form_is_read_only_and_exact():
     with pytest.raises(BackendError):
         a.to_float().integer_form
 
+
+def test_one_elimination_per_matrix(monkeypatch):
+    a = Matrix.exact([[1, (0, 1), "1/2"], [2, (0, 2), 1], [0, 1, (1, 1)]])
+    eliminated = []
+    real = matrix._gauss_jordan
+
+    def counted(m):
+        eliminated.append(m)
+        return real(m)
+
+    monkeypatch.setattr(matrix, "_gauss_jordan", counted)
+    for _ in range(2):
+        assert rank(a) == 2
+        assert column_space(a).dim == 2
+        red, pivots = exact_rref(a)
+        moore_penrose(a)
+    assert sum(m is a for m in eliminated) == 1
+    assert exact_rref(a) == (red, pivots) == exact_rref(_fresh(a))
+    re, im, _, kept = a._memo["gauss_jordan"]
+    assert kept == pivots == (0, 1)
+    assert not re.flags.writeable and not im.flags.writeable
+
+
+def test_exact_kernels_build_entries_only_when_read(monkeypatch):
+    a = Matrix.exact([["1/2", (1, "-1/3")], [0, (0, "1/5")]])
+    b = Matrix.exact([[(2, 1), 0], ["3/7", -1]])
+    built = []
+    real = matrix._gaussian_array
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrix, "_gaussian_array", counted)
+
+    def chain(x, y):
+        p = (x @ y.ct - y.scale("2/3")) @ x + (-x)
+        return vstack(p, exact_rref(p)[0]).submatrix(1, 3, 0, 2) @ hstack(x, y.ct)
+
+    p = chain(a, b)
+    assert rank(p) == 2 and p == p and hash(p) == hash(p)
+    assert not p.is_zero() and p.frobenius_sq() > 0
+    assert not built
+    entries = p.entries
+    assert len(built) == 1
+    assert p.entries is entries and len(built) == 1
+    assert not entries.flags.writeable
+    with pytest.raises(ValueError):
+        entries[0, 0] = 0
+    fresh = chain(_fresh(a), _fresh(b))
+    assert entries.tolist() == fresh.entries.tolist()
+    assert all(isinstance(v, GaussianRational) for v in entries.flat)

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from matorder import (DIAMOND_ROUTES, EXACT, FLOAT, RELATIONS, BackendError,
-                      Matrix, ShapeError, build_poset, diamond_via_dagger_minus,
-                      diamond_via_range_split, diamond_via_rank,
-                      idempotent_factor_witness, left_star_equivalents,
-                      leq_diamond, leq_left_star, leq_minus, leq_right_star,
-                      leq_space, leq_star, moore_penrose, projector_transfer,
-                      right_star_equivalents)
+                      DomainError, Matrix, ShapeError, build_poset,
+                      diamond_via_dagger_minus, diamond_via_range_split,
+                      diamond_via_rank, idempotent_factor_witness,
+                      is_zero_matrix, left_star_equivalents, leq_diamond,
+                      leq_left_star, leq_minus, leq_right_star, leq_space,
+                      leq_star, matrices_equal, moore_penrose,
+                      projector_transfer, right_star_equivalents)
 
 # Nilpotent below an invertible: diamond holds, minus does not.
 A1 = Matrix.exact([[0, 1], [0, 0]])
@@ -283,3 +284,21 @@ def test_space_order_on_empty_pairs(backend, shape):
     assert rep.verdict and rep.witnesses["inner_inverse_identities"] is True
     assert projector_transfer(a, a, "space") == (True, True)
     assert build_poset([("x", a), ("y", a)], "space").nodes == (("x", "y"),)
+
+
+BAD_TOLS = [pytest.param(-1.0, id="negative"), pytest.param(float("nan"), id="nan")]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("name, fn", sorted(RELATIONS.items()) + [
+    ("diamond/" + k, f) for k, f in sorted(DIAMOND_ROUTES.items())])
+def test_invalid_tolerance_is_a_domain_error(name, fn, tol):
+    # no comparison is decided against a negative or NaN bound: with one,
+    # star read a matrix as not below itself and reported a NaN margin
+    a = Matrix.from_complex([[1, 2j], [0, 3]])
+    with pytest.raises(DomainError):
+        fn(a, a, tol)
+    with pytest.raises(DomainError):
+        matrices_equal(a, a, tol)
+    with pytest.raises(DomainError):
+        is_zero_matrix(a - a, tol)

@@ -4,7 +4,8 @@ tools/verdicts.py writes VERDICTS.json: the output of every operation of the
 benchmark pools at fixed seeds, plus two fixed-seed fuzz runs. Rerunning all
 of it takes minutes, so this suite replays about 200 of those operations
 (the first units of one pool per workload) and checks each output against
-the committed file, so that a change that moves a verdict fails fast.
+the committed file, so that a change that moves a verdict fails fast. The
+script's --check mode is tested on a stand-in corpus.
 """
 
 import importlib.util
@@ -64,3 +65,20 @@ def test_slice_matches_committed_corpus(verdicts, workloads, committed,
     workload = workloads[name]
     for key, unit in verdicts.pool(workload, seed, tmp_path)[units]:
         assert verdicts.unit_outputs(workload, unit, tmp_path) == committed[key], key
+
+
+def test_check_prints_each_moved_key_and_writes_nothing(verdicts, committed, tmp_path,
+                                                      monkeypatch, capsys):
+    path = tmp_path / "VERDICTS.json"
+    text = verdicts.dumps(committed)
+    path.write_text(text)
+    monkeypatch.setattr(verdicts, "corpus", lambda: committed)
+    assert verdicts.main(["--check", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    first, last = list(committed)[0], list(committed)[-1]
+    moved = dict(committed, **{first: {"moved": True}})
+    del moved[last]
+    monkeypatch.setattr(verdicts, "corpus", lambda: moved)
+    assert verdicts.main(["--check", str(path)]) == 1
+    assert capsys.readouterr().out.split() == sorted([first, last])
+    assert path.read_text() == text

@@ -1,6 +1,7 @@
 """Verdict corpus: the output of every benchmark operation, in one file.
 
     python3 tools/verdicts.py [OUT]
+    python3 tools/verdicts.py --check [FILE]
 
 Runs, in this process, every operation of every unit of the benchmark pools
 (exact-battery at seeds 1-3, float-battery at 1-10, diamond-family at 1-3,
@@ -9,7 +10,11 @@ object, one line per unit, to OUT (default: VERDICTS.json at the root of
 this checkout). Outputs are verdicts, integer witnesses, booleans, exact
 entries and graph text; no float margin is recorded, so a change that only
 moves roundoff leaves the file unchanged. Regenerate the file and diff it
-against the committed copy to see every verdict a change moves.
+against the committed copy to see every verdict a change moves, or run
+with --check: it regenerates the corpus in memory, writes nothing, prints
+each key whose output differs from FILE (default: the committed
+VERDICTS.json) and exits 1 on any difference, 0 when the regenerated file
+would be byte-identical.
 
 The pools come from perfbench/workloads.py, loaded without writing
 bytecode into perfbench/.
@@ -17,6 +22,7 @@ bytecode into perfbench/.
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import io
 import json
@@ -93,6 +99,35 @@ def dumps(entries: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def check(path: Path) -> int:
+    """Print every key whose regenerated output differs from ``path``;
+    return 1 if the regenerated text differs at all, else 0."""
+    text = path.read_text()
+    committed = json.loads(text)
+    fresh = corpus()
+    missing = object()
+    differ = [key for key in sorted(set(committed) | set(fresh))
+              if committed.get(key, missing) != fresh.get(key, missing)]
+    for key in differ:
+        print(key)
+    if dumps(fresh) == text:
+        return 0
+    if not differ:
+        print("same outputs, but the file is not in canonical form")
+    return 1
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description="Write or check the verdict corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with FILE instead of writing it")
+    parser.add_argument("file", nargs="?", type=Path, default=ROOT / "VERDICTS.json")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.file)
+    args.file.write_text(dumps(corpus()))
+    return 0
+
+
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "VERDICTS.json"
-    out.write_text(dumps(corpus()))
+    sys.exit(main(sys.argv[1:]))
