@@ -9,6 +9,7 @@ determined up to phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +76,18 @@ class HSForm:
         return self.u.rows
 
     def sigma_diag(self) -> Matrix:
-        return Matrix.from_ndarray(np.diag(np.array(self.sigma, dtype=complex)))
+        return self._sigma_diag
 
     def sigma_inv(self) -> Matrix:
+        return self._sigma_inv
+
+    # built on first use and kept on the form, which is immutable
+    @cached_property
+    def _sigma_diag(self) -> Matrix:
+        return Matrix.from_ndarray(np.diag(np.array(self.sigma, dtype=complex)))
+
+    @cached_property
+    def _sigma_inv(self) -> Matrix:
         return Matrix.from_ndarray(
             np.diag(np.array([1.0 / s for s in self.sigma], dtype=complex)))
 
@@ -211,14 +221,14 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     Requires a below b in the diamond order and a nonzero; the zero matrix
     sits below everything and carries no block data, so it is rejected.
     """
-    from .orders import leq_diamond
+    from .orders import diamond_verdict
 
     _require_float(a, "diamond_canonical_pair")
     _require_float(b, "diamond_canonical_pair")
     a._check_same_shape(b, "diamond_canonical_pair")
     if rank(a, rank_factor) == 0:
         raise DomainError("zero lower matrix has no canonical block form")
-    if not leq_diamond(a, b, tol, rank_factor).verdict:
+    if not diamond_verdict(a, b, tol, rank_factor):
         raise DomainError("pair is not diamond-comparable")
 
     u1, s, v1h = np.linalg.svd(b.to_ndarray())

@@ -20,6 +20,10 @@ The diamond order also has three alternative characterizations exposed as
 separate functions, all provably equivalent to the definition: the minus
 relation between pseudoinverses, a range direct-sum split, and a rank
 condition; dedicated suites assert the agreement on random inputs.
+
+Callers that read only the diamond verdict (the cover diagram, the
+criteria, the witness constructions) use ``diamond_verdict``, which
+returns that boolean without building the report.
 """
 
 from __future__ import annotations
@@ -196,6 +200,22 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     })
 
 
+def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
+                    rank_factor: float = RANK_FACTOR) -> bool:
+    """``leq_diamond(a, b, tol, rank_factor).verdict``, without the report.
+
+    Decides A B* A = A A* A, then col(A) <= col(B), then col(A*) <= col(B*),
+    and stops at the first false term. B+ and the projector identities,
+    which only feed the report's margin, are never computed. The sandwich
+    goes first because its products are the ones that overflow: a pair
+    whose report raises DomainError there raises it here too.
+    """
+    _check_pair(a, b)
+    return (_ident(a @ b.ct @ a, a @ a.ct @ a, tol)[0]
+            and _range_leq(a, b, rank_factor)
+            and _range_leq(a.ct, b.ct, rank_factor))
+
+
 def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Left-star order: A*A = A*B and col(A) <= col(B)."""
@@ -304,7 +324,7 @@ def idempotent_factor_witness(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     when float roundoff breaks them.
     """
     _check_pair(a, b)
-    if not leq_diamond(a, b, tol, rank_factor).verdict:
+    if not diamond_verdict(a, b, tol, rank_factor):
         raise DomainError("pair is not diamond-comparable")
     ad = moore_penrose(a, rank_factor)
     q = ad @ b
@@ -327,7 +347,7 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """
     _check_pair(a, b)
     base = leq_left_star(a, b, tol, rank_factor)
-    dia = leq_diamond(a, b, tol, rank_factor).verdict
+    dia = diamond_verdict(a, b, tol, rank_factor)
     ad = moore_penrose(a, rank_factor)
     dag = matrices_equal(ad @ a, ad @ b, tol)
     herm_m = a.ct @ b

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ShapeError
 from .matrix import EQ_TOL, RANK_FACTOR
-from .orders import RELATIONS
+from .orders import RELATIONS, diamond_verdict
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,15 @@ def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
             raise DomainError("poset needs a single backend")
 
     pred = RELATIONS[relation]
-    leq = [[True] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                leq[i][j] = pred(mats[i], mats[j], tol, rank_factor).verdict
+
+    def holds(x, y) -> bool:
+        # only the verdict is read, so diamond skips building its report
+        if relation == "diamond":
+            return diamond_verdict(x, y, tol, rank_factor)
+        return pred(x, y, tol, rank_factor).verdict
+
+    leq = [[i == j or holds(mats[i], mats[j]) for j in range(n)]
+           for i in range(n)]
 
     # merge mutually comparable inputs into one node
     assigned = [-1] * n

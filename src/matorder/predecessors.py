@@ -23,7 +23,7 @@ from .decomp import HSForm, hartwig_spindelbock
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, inverse,
                      matrices_equal)
-from .orders import leq_diamond
+from .orders import diamond_verdict
 from .pinv import moore_penrose
 
 
@@ -138,7 +138,7 @@ def reverse_order_law(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     pair of booleans (direct, criterion) is returned and the two agree.
     """
     hs = hartwig_spindelbock(b, rank_factor)
-    if not leq_diamond(a, b, tol=tol, rank_factor=rank_factor).verdict:
+    if not diamond_verdict(a, b, tol, rank_factor):
         raise DomainError("pair is not diamond-comparable")
     t = recover_idempotent(a, hs, tol, rank_factor)
     direct = matrices_equal(
@@ -177,9 +177,8 @@ def dagger_isotone(b: Matrix, t: Matrix, tol: float = EQ_TOL,
     pair (a, b) built from t, directly and via t (t* - I) s^-2 t = 0."""
     hs = _checked_form(b, t, tol, rank_factor)
     a = hs.predecessor(t, rank_factor)
-    direct = leq_diamond(moore_penrose(a, rank_factor),
-                         moore_penrose(b, rank_factor),
-                         tol=tol, rank_factor=rank_factor).verdict
+    direct = diamond_verdict(moore_penrose(a, rank_factor),
+                             moore_penrose(b, rank_factor), tol, rank_factor)
     si = hs.sigma_inv()
     crit = t @ (t.ct - Matrix.identity(hs.r, FLOAT)) @ si @ si @ t
     criterion = crit.frobenius() <= tol * (1.0 + t.frobenius() ** 2)

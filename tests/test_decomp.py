@@ -2,7 +2,9 @@
 
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from matorder import (EXACT, FLOAT, BackendError, DomainError, Matrix,
@@ -87,6 +89,20 @@ def test_block_form_rows_are_isometric():
         assert matrices_equal(kl, Matrix.identity(r, FLOAT), TOL)
         assert matrices_equal(hs.reconstruct(), b, TOL)
         assert matrices_equal(hs.pinv(), moore_penrose(b), TOL)
+
+
+def test_sigma_matrices_are_built_once_per_form():
+    hs = hartwig_spindelbock(random_base_matrix(5, 3, random.Random(17)))
+    assert hs.sigma_diag() is hs.sigma_diag()
+    assert hs.sigma_inv() is hs.sigma_inv()
+    # the same values the per-call construction gave, bit for bit
+    assert hs.sigma_diag() == Matrix.from_ndarray(
+        np.diag(np.array(hs.sigma, dtype=complex)))
+    assert hs.sigma_inv() == Matrix.from_ndarray(
+        np.diag(np.array([1.0 / s for s in hs.sigma], dtype=complex)))
+    # the kept matrices are not fields: equality and hashing see none
+    twin = replace(hs)
+    assert twin == hs and hash(twin) == hash(hs)
 
 
 def test_block_form_rejects_bad_input():
