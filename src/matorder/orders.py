@@ -28,6 +28,7 @@ returns that boolean without building the report.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -39,7 +40,7 @@ from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
                      float_residual, matrices_equal, rank, spectral_rank,
                      tolerance_bound)
 from .pinv import moore_penrose, projector_range
-from .scalars import GaussianRational
+from .sampling import gauss_array
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
@@ -65,11 +66,17 @@ def _check_pair(a: Matrix, b: Matrix):
 
 
 def _ident(lhs: Matrix, rhs: Matrix, tol: float):
-    """Equality verdict plus residual-over-tolerance ratio (float backend)."""
+    """Equality verdict plus residual-over-tolerance ratio (float backend).
+    Under a zero bound (tol = 0) the ratio is 0.0 for equal sides and
+    infinite otherwise."""
     if lhs.backend == EXACT:
         return matrices_equal(lhs, rhs, tol), None
     diff, bound = float_residual(lhs, rhs, tol)
-    return diff <= bound, diff / bound
+    if bound:
+        ratio = diff / bound
+    else:
+        ratio = math.inf if diff else 0.0
+    return diff <= bound, ratio
 
 
 def _range_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
@@ -177,13 +184,14 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 def _random_param(rows: int, cols: int, backend: str, rng: random.Random) -> Matrix:
     """rows x cols small integers (exact) or standard normal draws (float),
-    built with the declared shape so that an empty side stays empty."""
+    drawn in row-major order, built with the declared shape so that an
+    empty side stays empty."""
     if backend == EXACT:
-        grid = [[GaussianRational(rng.randint(-2, 2)) for _ in range(cols)]
-                for _ in range(rows)]
-    else:
-        grid = [[rng.gauss(0.0, 1.0) for _ in range(cols)] for _ in range(rows)]
-    return Matrix(rows, cols, backend, grid)
+        re = np.array([rng.randint(-2, 2) for _ in range(rows * cols)],
+                      dtype=object).reshape(rows, cols)
+        return Matrix._from_ints(re, np.zeros((rows, cols), dtype=object), 1)
+    draws = gauss_array(rng, rows * cols).reshape(rows, cols)
+    return Matrix._wrap(draws.astype(complex))
 
 
 def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,

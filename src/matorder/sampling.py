@@ -72,14 +72,54 @@ def exact_pair(rng: random.Random, m: int, n: int):
     return kind, a, a + u @ v
 
 
-def complex_gauss(rng: random.Random) -> complex:
-    return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+_TWOPI = 2.0 * math.pi
+# random() is (a * 2**26 + b) / 2**53, with a and b the top 27 and 26 bits
+# of two consecutive 32-bit words; a Box-Muller pair takes two random()s
+_PAIR_SHIFTS = np.array([5, 6, 5, 6], dtype=np.uint32)
+
+
+def gauss_array(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.gauss(0.0, 1.0) for _ in range(count)]`` as a float64 array,
+    bit for bit, leaving ``rng`` in the state those calls leave it in.
+
+    ``Random.gauss`` turns two ``random()`` uniforms into a cosine and a
+    sine draw and keeps the sine in ``gauss_next`` for the next call. Here
+    one ``getrandbits`` call supplies the four words of every pair, the
+    uniforms are rebuilt from them as ``random()`` builds them, a pending
+    ``gauss_next`` is served first, and the sine of an odd last pair is
+    stored back in it. log, cos and sin go through ``math``, the libm that
+    ``gauss`` calls, because numpy's vectorized ones may round differently.
+    """
+    if type(rng) is not random.Random:  # a subclass may redefine random()
+        return np.array([rng.gauss(0.0, 1.0) for _ in range(count)], dtype=float)
+    head = []
+    if count and rng.gauss_next is not None:
+        head = [rng.gauss_next]
+        rng.gauss_next = None
+    tail = count - len(head)
+    pairs = (tail + 1) // 2
+    words = np.frombuffer(rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"),
+                          dtype="<u4").reshape(pairs, 4)
+    top = (words >> _PAIR_SHIFTS).astype(float)
+    u = (top[:, 0::2] * 67108864.0 + top[:, 1::2]) * (1.0 / 9007199254740992.0)
+    x2pi = (u[:, 0] * _TWOPI).tolist()
+    log = np.fromiter(map(math.log, (1.0 - u[:, 1]).tolist()), float, pairs)
+    g2rad = np.sqrt(-2.0 * log)
+    z = np.empty((pairs, 2))
+    z[:, 0] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+    z[:, 1] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+    z = z.reshape(-1)
+    if tail % 2:
+        rng.gauss_next = float(z[tail])
+    # gauss returns mu + z * sigma, and 0.0 + -0.0 is 0.0
+    return np.concatenate((head, z[:tail])) + 0.0
 
 
 def random_unitary(n: int, rng: random.Random) -> Matrix:
     if n == 0:
         return Matrix.identity(0, FLOAT)
-    z = np.array([[complex_gauss(rng) for _ in range(n)] for _ in range(n)])
+    # entry by entry, real part then imaginary part, in row-major order
+    z = gauss_array(rng, 2 * n * n).view(complex).reshape(n, n)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)

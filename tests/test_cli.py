@@ -281,3 +281,33 @@ def test_non_finite_result_is_a_usage_error(capsys):
     with pytest.raises(MatOrderError):
         _emit({"margin": float("nan")})
     assert capsys.readouterr().out == ""
+
+
+def test_zero_tolerance_check_on_equal_float_operands(files, capsys):
+    # a zero bound once divided 0 by 0 here and ended in a traceback
+    a = files("a.json", Matrix.from_complex([[1, 0], [0, 2]]))
+    code, out, err = run(capsys, "--tol", "0", "check", "--order", "star", a, a)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] is True and payload["witnesses"]["margin"] == 0.0
+
+
+def test_zero_tolerance_check_with_infinite_margin_is_a_usage_error(files, capsys):
+    # unequal sides under a zero bound have an infinite margin, which the
+    # CLI does not print
+    a = files("a.json", Matrix.from_complex([[1, 0], [0, 2]]))
+    b = files("b.json", Matrix.from_complex([[1, 0], [0, 3]]))
+    code, out, err = run(capsys, "--tol", "0", "check", "--order", "star", a, b)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_zero_tolerance_poset(tmp_path, capsys):
+    corpus = tmp_path / "mats"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(matrix_to_json(Matrix.from_complex([[1, 0], [0, 2]])))
+    (corpus / "zero.json").write_text(matrix_to_json(Matrix.from_complex([[0, 0], [0, 0]])))
+    code, out, err = run(capsys, "--tol", "0", "poset", str(corpus))
+    assert code == 0 and err == ""
+    assert '"zero" -> "a";' in out

@@ -12,6 +12,7 @@ from matorder import (DIAMOND_ROUTES, EXACT, FLOAT, RELATIONS, BackendError,
                       leq_left_star, leq_minus, leq_right_star, leq_space,
                       leq_star, matrices_equal, moore_penrose,
                       projector_transfer, right_star_equivalents)
+from matorder.orders import diamond_verdict
 
 # Nilpotent below an invertible: diamond holds, minus does not.
 A1 = Matrix.exact([[0, 1], [0, 0]])
@@ -302,3 +303,32 @@ def test_invalid_tolerance_is_a_domain_error(name, fn, tol):
         matrices_equal(a, a, tol)
     with pytest.raises(DomainError):
         is_zero_matrix(a - a, tol)
+
+
+ALL_ROUTES = sorted(RELATIONS.items()) + [
+    ("diamond/" + k, f) for k, f in sorted(DIAMOND_ROUTES.items())]
+
+
+@pytest.mark.parametrize("name, fn", ALL_ROUTES)
+def test_zero_tolerance_decides_a_float_matrix_below_itself(name, fn):
+    # tol = 0 makes every float bound 0; equal sides must not divide 0 by it
+    a = Matrix.from_complex([[1, 0], [0, 2]])
+    assert fn(a, a, 0.0).verdict
+
+
+def test_zero_tolerance_margins():
+    # under a zero bound only an exactly zero residual is equal: its margin
+    # is 0.0, and any other residual is infinitely far past the bound
+    a = Matrix.from_complex([[1, 0], [0, 2]])
+    b = Matrix.from_complex([[1, 0], [0, 3]])
+    same = leq_star(a, a, 0.0)
+    assert same.verdict and same.witnesses["margin"] == 0.0
+    other = leq_star(a, b, 0.0)
+    assert not other.verdict and other.witnesses["margin"] == float("inf")
+    assert diamond_verdict(a, a, 0.0)
+    assert not diamond_verdict(a, b, 0.0)
+    zero = Matrix.zeros(2, 2, FLOAT)
+    items = [("a", a), ("b", b), ("zero", zero)]
+    graph = build_poset(items, "diamond", 0.0)
+    assert graph == build_poset(items, "diamond")
+    assert set(graph.edges) == {(2, 0), (2, 1)}

@@ -2,6 +2,7 @@
 
     python3 tools/verdicts.py [OUT]
     python3 tools/verdicts.py --check [FILE]
+    python3 tools/verdicts.py --stdout DIR
 
 Runs, in this process, every operation of every unit of the benchmark pools
 (exact-battery at seeds 1-3, float-battery at 1-10, diamond-family at 1-3,
@@ -16,6 +17,14 @@ each key whose output differs from FILE (default: the committed
 VERDICTS.json) and exits 1 on any difference, 0 when the regenerated file
 would be byte-identical.
 
+With --stdout, it instead writes the seed-1 cli pool's input files to
+DIR/inputs, runs each of its commands and the two fuzz runs as a
+``python -m matorder.cli`` process in that directory, and writes each
+run's argv, raw stdout, raw stderr and exit code to DIR/cli/NN or
+DIR/fuzz-exact and DIR/fuzz-float. Float margins and error messages are
+part of that output, so ``diff -r`` on the directories written by two
+checkouts shows every byte a change moves in what a user sees.
+
 The pools come from perfbench/workloads.py, loaded without writing
 bytecode into perfbench/.
 """
@@ -26,6 +35,8 @@ import argparse
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -93,6 +104,31 @@ def corpus() -> dict:
     return entries
 
 
+def run_cli(argv, cwd: Path, out: Path):
+    """Run ``matorder`` with ``argv`` in ``cwd``; write what it printed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-m", "matorder.cli"] + argv,
+                          cwd=cwd, env=env, capture_output=True, timeout=600)
+    out.mkdir(parents=True)
+    (out / "argv").write_text(" ".join(argv) + "\n")
+    (out / "stdout").write_bytes(proc.stdout)
+    (out / "stderr").write_bytes(proc.stderr)
+    (out / "exit").write_text("%d\n" % proc.returncode)
+
+
+def dump_stdout(directory: Path):
+    """Write the raw output of every cli command and fuzz run under
+    ``directory``, which must not exist yet."""
+    directory.mkdir(parents=True)
+    inputs = directory / "inputs"
+    [(_, unit)] = pool(load_workloads().WORKLOADS["cli"], 1, inputs)
+    for i, argv in enumerate(unit["commands"], 1):
+        argv = [w[1:] if w.startswith("@") else w for w in argv]
+        run_cli(argv, inputs, directory / "cli" / ("%02d" % i))
+    for key, argv in FUZZ.items():
+        run_cli(argv, inputs, directory / key.replace("/", "-"))
+
+
 def dumps(entries: dict) -> str:
     lines = ["%s: %s" % (json.dumps(key), json.dumps(value, sort_keys=True))
              for key, value in entries.items()]
@@ -119,10 +155,17 @@ def check(path: Path) -> int:
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description="Write or check the verdict corpus.")
-    parser.add_argument("--check", action="store_true",
-                        help="compare with FILE instead of writing it")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="compare with FILE instead of writing it")
+    mode.add_argument("--stdout", type=Path, metavar="DIR",
+                      help="write the raw output of the cli commands and "
+                           "fuzz runs under DIR instead")
     parser.add_argument("file", nargs="?", type=Path, default=ROOT / "VERDICTS.json")
     args = parser.parse_args(argv)
+    if args.stdout:
+        dump_stdout(args.stdout)
+        return 0
     if args.check:
         return check(args.file)
     args.file.write_text(dumps(corpus()))
