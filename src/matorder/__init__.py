@@ -1,9 +1,10 @@
 """Generalized inverses and matrix partial orders.
 
-Two scalar backends share one Matrix type: ``exact`` stores Gaussian
-rationals and compares entrywise, ``float`` stores complex doubles and
-compares in a relative Frobenius norm.  Everything randomized takes an
-explicit seed or ``random.Random`` so runs replay exactly.
+Two scalar backends share one Matrix type: ``exact`` holds Gaussian
+rationals, stored as integer numerators over one common denominator, and
+compares exactly; ``float`` stores complex doubles and compares in a
+relative Frobenius norm.  Everything randomized takes an explicit seed or
+``random.Random`` so runs replay exactly.
 """
 
 from .errors import BackendError, DomainError, MatOrderError, ShapeError

@@ -6,12 +6,13 @@ Python-int numerators, real and imaginary, over one positive common
 denominator that shares no factor with all of them. Every exact kernel
 (products, sums, scaling, adjoints, slicing, stacking, elimination) runs
 on that form, so equality is a comparison of integers and rank is decided
-by a fraction-free elimination. The GaussianRational entries are built
-only when read, at the constructor, JSON and display boundary. The float
-backend stores finite complex128 entries; comparisons there go through
-``matrices_equal`` with a relative Frobenius tolerance, and rank goes
-through singular values with a spectral cutoff. Each arithmetic kernel is
-one numpy expression on the stored arrays.
+by a fraction-free elimination. Every exact constructor builds that form
+at once with ``_integer_form``; GaussianRational entries are built only
+when read, for display and indexing. The float backend stores finite
+complex128 entries; comparisons there go through ``matrices_equal`` with
+a relative Frobenius tolerance, and rank goes through singular values
+with a spectral cutoff. Each arithmetic kernel is one numpy expression on
+the stored arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError, DomainError, MatOrderError, ShapeError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, as_rational
 
 EXACT = "exact"
 FLOAT = "float"
@@ -47,14 +48,21 @@ def _dtype(rows: int, cols: int, backend: str):
     return _DTYPE[backend]
 
 
-def _coerce_exact(value) -> GaussianRational:
+def _parts(value) -> tuple:
+    """The (re, im) Fraction pair of an exact entry: a GaussianRational, an
+    int, Fraction or 'p/q' string, or an (re, im) tuple of the last three."""
     if isinstance(value, GaussianRational):
-        return value
+        return value.re, value.im
     if isinstance(value, tuple) and len(value) == 2:
-        return GaussianRational(value[0], value[1])
-    if isinstance(value, (int, str, Fraction)):
-        return GaussianRational(value)
-    raise MatOrderError("cannot place %r in an exact matrix" % (value,))
+        re, im = value
+    elif isinstance(value, (int, str, Fraction)):
+        re, im = value, 0
+    else:
+        raise MatOrderError("cannot place %r in an exact matrix" % (value,))
+    try:
+        return as_rational(re), as_rational(im)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MatOrderError("cannot place %r in an exact matrix" % (value,)) from exc
 
 
 def _read_only(arr):
@@ -79,13 +87,13 @@ def _gaussian_array(re, im, d: int):
     return np.array(values, dtype=object).reshape(re.shape)
 
 
-def _integer_form(entries) -> tuple:
-    """The canonical integer form of a GaussianRational array: d is the lcm
-    of the denominators of every real and imaginary part."""
-    parts = [q for v in entries.flat for q in (v.re, v.im)]
-    d = math.lcm(*(q.denominator for q in parts))
-    nums = np.array([q.numerator * (d // q.denominator) for q in parts],
-                    dtype=object).reshape(*entries.shape, 2)
+def _integer_form(parts, shape: tuple) -> tuple:
+    """The canonical integer form ``(re, im, d)`` of the entries whose
+    ``(re, im)`` Fraction pairs ``parts`` lists in row-major order: d is the
+    lcm of their denominators, so the form needs no further reduction."""
+    d = math.lcm(*(q.denominator for pair in parts for q in pair))
+    nums = np.array([q.numerator * (d // q.denominator) for pair in parts for q in pair],
+                    dtype=object).reshape(*shape, 2)
     return _read_only(nums[..., 0]), _read_only(nums[..., 1]), d
 
 
@@ -110,11 +118,11 @@ class Matrix:
     """Immutable dense m-by-n complex matrix tied to one scalar backend.
 
     ``entries`` is a read-only 2-d ndarray: GaussianRational objects on the
-    exact backend, complex128 on the float backend. An exact matrix holds
-    ``_ints``, its canonical integer form (``integer_form``), and builds
-    ``entries`` from it on first read; one built from entries computes the
-    form on first use instead. A float matrix always holds ``_entries``, so
-    the float branches read that slot and skip the property. ``_memo`` holds
+    exact backend, complex128 on the float backend. An exact matrix stores
+    ``_ints``, its canonical integer form (``integer_form``), from the
+    moment it is built, and builds ``entries`` from it on first read, for
+    display and indexing. A float matrix stores ``_entries``, so the float
+    branches read that slot and skip the property. ``_memo`` holds
     what ``ct``, the exact elimination and the ``memoized`` factorizations
     computed on this matrix.
     """
@@ -122,7 +130,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "backend", "_entries", "_ints", "_memo")
 
     def __init__(self, rows: int, cols: int, backend: str, entries):
-        """Copy ``entries``, a nested sequence or an array, into a new matrix."""
+        """Copy ``entries``, a nested sequence or an array, into a new
+        matrix. An exact entry is a GaussianRational, an int, a Fraction or
+        a 'p/q' string; anything else is a MatOrderError."""
         dtype = _dtype(rows, cols, backend)
         try:
             arr = np.array(entries, dtype=dtype)
@@ -132,8 +142,11 @@ class Matrix:
             arr = arr.reshape(0, cols)
         if arr.shape != (rows, cols):
             raise ShapeError("entry grid does not match declared shape")
-        arr = _finite(arr) if backend == FLOAT else _read_only(arr)
-        self._set(backend, arr.shape, "_entries", arr)
+        if backend == FLOAT:
+            self._set(FLOAT, arr.shape, "_entries", _finite(arr))
+        else:
+            self._set(EXACT, arr.shape, "_ints",
+                      _integer_form([_parts(v) for v in arr.flat], arr.shape))
 
     def _set(self, backend: str, shape: tuple, slot: str, value):
         """Fill a new matrix that stores ``value`` in ``slot``: its entry
@@ -172,10 +185,15 @@ class Matrix:
 
     @classmethod
     def exact(cls, data: Sequence[Sequence]) -> "Matrix":
-        rows = [[_coerce_exact(v) for v in row] for row in data]
+        """The exact matrix of the rows ``data``, whose entries are what the
+        constructor takes or (re, im) pairs of those."""
+        rows = [[_parts(v) for v in row] for row in data]
         m = len(rows)
         n = len(rows[0]) if m else 0
-        return cls(m, n, EXACT, rows)
+        if any(len(row) != n for row in rows):
+            raise ShapeError("entry grid does not match declared shape")
+        return cls._from_ints(*_integer_form([p for row in rows for p in row], (m, n)),
+                              reduced=True)
 
     @classmethod
     def from_complex(cls, data: Sequence[Sequence]) -> "Matrix":
@@ -209,8 +227,8 @@ class Matrix:
 
     @property
     def entries(self):
-        """The read-only 2-d array of entries; an exact matrix built from
-        its integer form builds its GaussianRational array on first read."""
+        """The read-only 2-d array of entries; an exact matrix builds its
+        GaussianRational array from its integer form on first read."""
         try:
             return self._entries
         except AttributeError:
@@ -295,10 +313,7 @@ class Matrix:
     def scale(self, scalar) -> "Matrix":
         if self.backend == FLOAT:
             return Matrix._wrap(_coerce_float(scalar) * self._entries)
-        s = _coerce_exact(scalar)
-        q = math.lcm(s.re.denominator, s.im.denominator)
-        sr = s.re.numerator * (q // s.re.denominator)
-        si = s.im.numerator * (q // s.im.denominator)
+        (sr,), (si,), q = _integer_form([_parts(scalar)], (1,))
         re, im, d = self.integer_form
         return Matrix._from_ints(sr * re - si * im, sr * im + si * re, d * q)
 
@@ -325,12 +340,7 @@ class Matrix:
         with all the numerators and two equal matrices have equal forms."""
         if self.backend != EXACT:
             raise BackendError("the integer form is an exact-backend value")
-        try:
-            return self._ints
-        except AttributeError:
-            form = _integer_form(self._entries)
-            object.__setattr__(self, "_ints", form)
-            return form
+        return self._ints
 
     # -- predicates and norms -------------------------------------------
 
@@ -486,6 +496,10 @@ def tolerance_bound(tol: float, scale: float) -> float:
 
 
 def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
+    """Whether a is zero: entrywise on the exact backend. On the float
+    backend the rule is |a|_F <= tol * (1 + |a|_F), which for tol < 1 is
+    |a|_F <= tol / (1 - tol), about |a|_F <= tol for small tol: an absolute
+    test, whose threshold does not scale with a."""
     if a.backend == EXACT:
         return a.is_zero()
     return a.frobenius() <= tolerance_bound(tol, 1.0 + a.frobenius())
@@ -629,11 +643,10 @@ def matrix_from_dict(d: dict) -> Matrix:
         raise MatOrderError("rows/cols must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise MatOrderError("entry grid does not match declared shape")
-    grid = []
+    values = []  # row-major: (re, im) Fraction pairs, or complex
     for row in entries:
         if not isinstance(row, list) or len(row) != cols:
             raise MatOrderError("entry grid does not match declared shape")
-        out = []
         for pair in row:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise MatOrderError("each entry must be a [re, im] pair")
@@ -642,7 +655,7 @@ def matrix_from_dict(d: dict) -> Matrix:
                 if not isinstance(re, str) or not isinstance(im, str):
                     raise MatOrderError("exact entries must be 'p/q' strings")
                 try:
-                    out.append(GaussianRational(re, im))
+                    values.append((Fraction(re), Fraction(im)))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise MatOrderError("bad rational %r" % ((re, im),)) from exc
             else:
@@ -650,11 +663,12 @@ def matrix_from_dict(d: dict) -> Matrix:
                         not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                     raise MatOrderError("float entries must be numbers")
                 try:
-                    out.append(complex(re, im))
+                    values.append(complex(re, im))
                 except OverflowError as exc:
                     raise DomainError("float entry does not fit a double") from exc
-        grid.append(out)
-    return Matrix(rows, cols, backend, grid)
+    if backend == EXACT:
+        return Matrix._from_ints(*_integer_form(values, (rows, cols)), reduced=True)
+    return Matrix(rows, cols, FLOAT, np.reshape(values, (rows, cols)))
 
 
 def matrix_to_json(a: Matrix) -> str:

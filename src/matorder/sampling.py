@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,16 +19,15 @@ from .matrix import EXACT, FLOAT, Matrix
 from .pinv import moore_penrose
 
 
-def exact_entry(rng: random.Random):
-    from .scalars import GaussianRational
-
-    re = rng.randint(-2, 2)
-    im = Fraction(rng.randint(-1, 1), rng.choice((1, 2)))
-    return GaussianRational(re, im)
-
-
 def exact_matrix(rng: random.Random, m: int, n: int) -> Matrix:
-    return Matrix.exact([[exact_entry(rng) for _ in range(n)] for _ in range(m)])
+    """An m x n exact matrix: entry by entry, in row-major order, a real
+    part ``randint(-2, 2)`` and an imaginary part ``randint(-1, 1)`` over
+    ``choice((1, 2))``."""
+    nums = np.empty((m, n, 2), dtype=object)
+    for i, j in np.ndindex(m, n):
+        re, im = rng.randint(-2, 2), rng.randint(-1, 1)
+        nums[i, j] = 2 * re, 2 * im // rng.choice((1, 2))  # over d = 2
+    return Matrix._from_ints(nums[..., 0], nums[..., 1], 2)
 
 
 def exact_pair(rng: random.Random, m: int, n: int):

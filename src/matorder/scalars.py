@@ -2,10 +2,11 @@
 
 ``GaussianRational`` is a complex number with rational real and imaginary
 parts, each a fractions.Fraction. It is the exact backend's scalar at the
-boundary: what ``Matrix.exact`` and the JSON reader take, and what an exact
-matrix's ``entries`` and indexing give back. Exact arithmetic on whole
-matrices runs on their integer form instead (see ``matrix``). Float
-matrices hold plain ``complex``.
+boundary: an entry ``Matrix.exact`` and the constructor take, and what an
+exact matrix's ``entries`` and indexing give back. It compares, hashes,
+prints and converts to ``complex``, and has no arithmetic: exact matrices
+store and compute on their integer form (see ``matrix``). Float matrices
+hold plain ``complex``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to an exact rational")
     return Fraction(value)
-
-
-def rational_str(q) -> str:
-    """Canonical 'p/q' encoding: reduced, q > 0, sign on the numerator."""
-    return "%d/%d" % (q.numerator, q.denominator)
 
 
 class GaussianRational:
@@ -40,45 +36,6 @@ class GaussianRational:
         obj.re = re
         obj.im = im
         return obj
-
-    def __add__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational._raw(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational._raw(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational._raw(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational._raw(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
-
-    def abs_sq(self):
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -108,14 +65,6 @@ class GaussianRational:
         return "%s%s%si" % (self.re, sign, abs(self.im))
 
 
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-
-
 def gaussian(re=0, im=0) -> GaussianRational:
     """Shorthand constructor accepting ints, Fractions, or 'p/q' strings."""
     return GaussianRational(re, im)
-
-
-def to_fraction(q) -> Fraction:
-    return Fraction(q)

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderError,
                       Matrix, ShapeError, block, column_space, exact_rref, hstack,
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix_to_json, moore_penrose, rank, vstack)
-from matorder.scalars import GR_ZERO, GaussianRational, gaussian
+from matorder.scalars import GaussianRational, gaussian
 
 SMALL = st.integers(min_value=-3, max_value=3)
 
@@ -80,86 +83,70 @@ def test_matmul_shapes_and_values():
         c @ a
 
 
-def reference_product(a, b, zero=GR_ZERO):
-    """The entries of a @ b by the schoolbook triple loop over (i, j, t)."""
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = zero
-            for t in range(a.cols):
-                acc = acc + a[i, t] * b[t, j]
-            row.append(acc)
-        out.append(row)
-    return out
+# sympy's DomainMatrix over QQ_I, an independent implementation of
+# Gaussian-rational linear algebra, is the reference for the exact kernels.
+
+
+def to_qq_i(v):
+    """The QQ_I element of the GaussianRational v."""
+    return QQ_I(QQ(v.re.numerator, v.re.denominator), QQ(v.im.numerator, v.im.denominator))
+
+
+def from_qq_i(e):
+    """The GaussianRational of the QQ_I element e."""
+    return gaussian(Fraction(int(e.x.numerator), int(e.x.denominator)),
+                    Fraction(int(e.y.numerator), int(e.y.denominator)))
+
+
+def to_sympy(m):
+    """The exact matrix m as a DomainMatrix over QQ_I."""
+    cells = [[to_qq_i(v) for v in row] for row in m.entries.tolist()]
+    return DomainMatrix(cells, m.shape, QQ_I)
+
+
+def from_sympy(d):
+    """The rows of the DomainMatrix d as lists of GaussianRational."""
+    return [[from_qq_i(e) for e in row] for row in d.to_dense().to_list()]
+
+
+def adjoint(d):
+    return d.transpose().applyfunc(lambda e: QQ_I(e.x, -e.y))
+
+
+def reference_product(a, b):
+    """The entries of a @ b: the DomainMatrix product for exact a and b,
+    the schoolbook triple loop over (i, j, t) for float ones."""
+    if a.backend == EXACT:
+        return from_sympy(to_sympy(a) * to_sympy(b))
+    return [[sum((a[i, t] * b[t, j] for t in range(a.cols)), 0j)
+             for j in range(b.cols)] for i in range(a.rows)]
 
 
 def reference_kernels(a, b, s, r0, r1, c0, c1, cols):
     """(kernel result, reference entries) for each exact kernel but the
-    product. The references are the object-array expressions in
-    GaussianRational arithmetic that those kernels were before they moved
-    to integer forms: a, b share a shape, s is a scalar, (r0, r1, c0, c1)
-    are submatrix bounds and cols a list of column indices."""
-    x, y = a.entries, b.entries
-    return {
+    product, the references computed on DomainMatrix: a, b share a shape,
+    s is a scalar, (r0, r1, c0, c1) are submatrix bounds and cols a list of
+    column indices."""
+    x, y = to_sympy(a), to_sympy(b)
+    refs = {
         "add": (a + b, x + y),
         "sub": (a - b, x - y),
         "neg": (-a, -x),
-        "scale": (a.scale(s), s * x),
-        "ct": (a.ct, x.conj().T),
+        "scale": (a.scale(s), x * to_qq_i(s)),
+        "ct": (a.ct, adjoint(x)),
         "submatrix": (a.submatrix(r0, r1, c0, c1), x[r0:r1, c0:c1]),
-        "columns": (a.columns(cols), x[:, cols]),
-        "hstack": (hstack(a, b), np.hstack([x, y])),
-        "vstack": (vstack(a, b), np.vstack([x, y])),
+        "columns": (a.columns(cols), x.extract(range(a.rows), cols)),
+        "hstack": (hstack(a, b), x.hstack(y)),
+        "vstack": (vstack(a, b), x.vstack(y)),
     }
-
-
-def reference_echelon(rows, nrows: int, ncols: int):
-    """Forward elimination of a list of rows in place, in GaussianRational
-    arithmetic, pivoting on the first nonzero entry; returns pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if bool(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            if bool(rows[i][c]):
-                f = rows[i][c] / pivot
-                ri, rr = rows[i], rows[r]
-                for j in range(c, ncols):
-                    ri[j] = ri[j] - f * rr[j]
-        pivots.append(c)
-        r += 1
-    return pivots
+    return {name: (got, from_sympy(ref)) for name, (got, ref) in refs.items()}
 
 
 def reference_rref(a):
     """The reduced row echelon rows of a and its pivot columns, by
-    ``reference_echelon`` and back substitution in GaussianRational
-    arithmetic."""
-    rows = a.entries.tolist()
-    pivots = reference_echelon(rows, a.rows, a.cols)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        pivot = rows[r][c]
-        if pivot != gaussian(1):
-            rows[r] = [v / pivot for v in rows[r]]
-        for i in range(r):
-            if bool(rows[i][c]):
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                for j in range(c, a.cols):
-                    ri[j] = ri[j] - f * rr[j]
-    return rows, tuple(pivots)
+    DomainMatrix.rref."""
+    red, pivots = to_sympy(a).rref()
+    return from_sympy(red), tuple(pivots)
 
 
 def exact_grid(m, n):
@@ -184,7 +171,7 @@ def test_product_matches_reference_loop(operands):
     assert prod.entries.tolist() == reference_product(a, b)
     # the float product sums in another order: agree to k roundoffs per term
     af, bf = a.to_float(), b.to_float()
-    ref = np.array(reference_product(af, bf, 0j), dtype=complex).reshape(prod.shape)
+    ref = np.array(reference_product(af, bf), dtype=complex).reshape(prod.shape)
     bound = 4 * (a.cols + 1) * EPS * af.frobenius() * bf.frobenius()
     assert np.abs((af @ bf).to_ndarray() - ref).max(initial=0.0) <= bound
 
@@ -313,12 +300,12 @@ def deficient_mats(draw, max_dim=6):
         if kind == "repeat":
             rows[j] = list(rows[i])
         elif kind == "scale":
-            f = draw(GAUSSIAN)
-            rows[j] = [f * v for v in rows[i]]
+            f = to_qq_i(draw(GAUSSIAN))
+            rows[j] = [from_qq_i(f * to_qq_i(v)) for v in rows[i]]
         else:
             c = draw(st.integers(0, n - 1))
             for row in rows:
-                row[c] = GR_ZERO
+                row[c] = gaussian(0)
     return Matrix(m, n, EXACT, rows)
 
 
@@ -366,23 +353,6 @@ def test_exact_stack_agrees_with_sympy():
     Gaussian-rational linear algebra, referees rank, the reduced row
     echelon form and its pivots, the inverse and the four Penrose
     equations of the pseudoinverse."""
-    dm = pytest.importorskip("sympy.polys.matrices")
-    from sympy.polys.domains import QQ, QQ_I
-
-    def to_sympy(m):
-        cells = [[QQ_I(QQ(v.re.numerator, v.re.denominator),
-                       QQ(v.im.numerator, v.im.denominator)) for v in row]
-                 for row in m.entries.tolist()]
-        return dm.DomainMatrix(cells, m.shape, QQ_I)
-
-    def from_sympy(d):
-        return [[gaussian(Fraction(int(e.x.numerator), int(e.x.denominator)),
-                          Fraction(int(e.y.numerator), int(e.y.denominator)))
-                 for e in row] for row in d.to_dense().to_list()]
-
-    def adjoint(d):
-        return d.transpose().applyfunc(lambda e: QQ_I(e.x, -e.y))
-
     @settings(max_examples=80, deadline=None)
     @given(deficient_mats())
     def check(a):
@@ -395,7 +365,7 @@ def test_exact_stack_agrees_with_sympy():
         if a.is_square:
             try:
                 s_inv = s.inv()
-            except dm.exceptions.DMNonInvertibleMatrixError:
+            except DMNonInvertibleMatrixError:
                 with pytest.raises(DomainError):
                     inverse(a)
             else:
@@ -420,10 +390,10 @@ def kernel_operands(draw, max_dim=6):
         rows = draw(st.lists(st.lists(GAUSSIAN, min_size=n, max_size=n),
                              min_size=m, max_size=m))
         for i in draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else ():
-            rows[i] = [GR_ZERO] * n
+            rows[i] = [gaussian(0)] * n
         for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
             for row in rows:
-                row[j] = GR_ZERO
+                row[j] = gaussian(0)
         return Matrix(m, n, EXACT, rows)
 
     a, b = grid(), grid().ct.ct
@@ -460,12 +430,13 @@ def test_exact_kernels_match_object_array_references(operands):
     red, _ = exact_rref(vstack(a, b))
     checked["rref"] = (red, reference_rref(vstack(a, b))[0])
     for name, (got, ref) in checked.items():
-        ref = np.array(ref, dtype=object).reshape(got.shape)
-        assert got.entries.tolist() == ref.tolist(), name
+        assert got.entries.tolist() == ref, name
         assert_canonical(got)
     assert_canonical(a)
     assert_canonical(b)
-    assert a.frobenius_sq() == sum((v.abs_sq() for v in a.entries.flat), Fraction(0))
+    x = to_sympy(a)
+    gram = from_sympy(x * adjoint(x))
+    assert a.frobenius_sq() == sum((row[i].re for i, row in enumerate(gram)), Fraction(0))
     assert a.is_zero() == (not any(a.entries.flat))
 
 

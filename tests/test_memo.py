@@ -121,7 +121,6 @@ def test_exact_kernels_on_warm_integer_form_equal_fresh(pair):
 
 
 def test_integer_form_is_computed_once(monkeypatch):
-    a = Matrix.exact([["1/2", (1, "-1/3")], [0, (0, "1/5")]])
     computed = []
     real_lcm = math.lcm
 
@@ -130,6 +129,9 @@ def test_integer_form_is_computed_once(monkeypatch):
         return real_lcm(*args)
 
     monkeypatch.setattr(matrix.math, "lcm", counted)
+    # the one lcm of the entries' denominators, taken at construction
+    a = Matrix.exact([["1/2", (1, "-1/3")], [0, (0, "1/5")]])
+    assert computed == [(2, 1, 1, 3, 1, 1, 1, 5)]
     form = a.integer_form
     for _ in range(3):
         rank(a)
