@@ -360,15 +360,7 @@ class Matrix:
     def frobenius(self) -> float:
         if self.backend == EXACT:
             return math.sqrt(float(self.frobenius_sq()))
-        norm = float(np.linalg.norm(self._entries))
-        if norm == math.inf:
-            # the squares of entries beyond 1e154 overflowed: compute again
-            # on the entries scaled by a power of two, which is exact
-            scale = math.ldexp(1.0, math.frexp(np.abs(self._entries).max())[1] - 1)
-            norm = scale * float(np.linalg.norm(self._entries / scale))
-            if norm == math.inf:
-                raise DomainError("Frobenius norm beyond the float range")
-        return norm
+        return float_norm(self._entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -478,6 +470,20 @@ def float_residual(a: Matrix, b: Matrix, tol: float) -> tuple:
     |a - b|_F and tol * (1 + |a|_F + |b|_F); a equals b when diff <= bound."""
     bound = tolerance_bound(tol, 1.0 + a.frobenius() + b.frobenius())
     return (a - b).frobenius(), bound
+
+
+def float_norm(arr) -> float:
+    """Frobenius norm of a finite complex array, as ``Matrix.frobenius``
+    computes it on the float backend."""
+    norm = float(np.linalg.norm(arr))
+    if norm == math.inf:
+        # the squares of entries beyond 1e154 overflowed: compute again
+        # on the entries scaled by a power of two, which is exact
+        scale = math.ldexp(1.0, math.frexp(np.abs(arr).max())[1] - 1)
+        norm = scale * float(np.linalg.norm(arr / scale))
+        if norm == math.inf:
+            raise DomainError("Frobenius norm beyond the float range")
+    return norm
 
 
 def tolerance_bound(tol: float, scale: float) -> float:

@@ -23,7 +23,10 @@ condition; dedicated suites assert the agreement on random inputs.
 
 Callers that read only the diamond verdict (the cover diagram, the
 criteria, the witness constructions) use ``diamond_verdict``, which
-returns that boolean without building the report.
+returns that boolean without building the report. ``diamond_table``
+returns the verdicts of every ordered pair of a float family, the same
+as ``diamond_verdict`` on each, with one stacked product per row for the
+sandwich identities; it holds one row, O(k·m·n) entries, at a time.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
-                     float_residual, matrices_equal, rank, spectral_rank,
-                     tolerance_bound)
+                     float_norm, float_residual, matrices_equal, rank,
+                     spectral_rank, tolerance_bound)
 from .pinv import moore_penrose, projector_range
 from .sampling import gauss_array
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -220,8 +223,62 @@ def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """
     _check_pair(a, b)
     return (_ident(a @ b.ct @ a, a @ a.ct @ a, tol)[0]
-            and _range_leq(a, b, rank_factor)
+            and _ranges_leq(a, b, rank_factor))
+
+
+def _ranges_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
+    """col(A) <= col(B) and then col(A*) <= col(B*), diamond's space terms."""
+    return (_range_leq(a, b, rank_factor)
             and _range_leq(a.ct, b.ct, rank_factor))
+
+
+def diamond_table(mats, tol: float = EQ_TOL,
+                  rank_factor: float = RANK_FACTOR) -> list:
+    """``[[i == j or diamond_verdict(mats[i], mats[j], tol, rank_factor)
+    for j ...] for i ...]`` for k equally shaped float matrices.
+
+    Row i forms the sandwich products (A_i B_j*) A_i for all j in one
+    stacked matmul on B_j*, laid out as ``B_j.ct`` is, so that each is the
+    per-pair product bit for bit, and A_i A_i* A_i once. It then decides
+    the pairs i != j in order by ``float_residual``'s rule, and only pairs
+    whose sandwich holds go on to the range inclusions. A block of the row
+    holding a non-finite entry (an overflow) is decided by
+    ``diamond_verdict``, which warns and raises there as the pair loop does;
+    a single matrix computes nothing. The stacks held at once are one block
+    of one row: at most about 3·k·m·n entries for m x n inputs, or one
+    m x m product when m > k·n.
+    """
+    k = len(mats)
+    table = [[i == j for j in range(k)] for i in range(k)]
+    if k < 2:
+        return table
+    m, n = mats[0].shape
+    adj = np.stack([x._entries for x in mats]).conj().transpose(0, 2, 1)
+    # a block of j whose m x m products (A_i B_j*) stay within k·m·n entries
+    step = max(1, k * n // max(m, n, 1))
+    for i, a in enumerate(mats):
+        e = a._entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            aaa = (e @ adj[i]) @ e
+        aaa_norm = None
+        for lo in range(0, k, step):
+            js = [j for j in range(lo, min(lo + step, k)) if j != i]
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = (e @ adj[lo:lo + step]) @ e
+                d = s - aaa
+            if not np.isfinite(d).all():
+                for j in js:
+                    table[i][j] = diamond_verdict(a, mats[j], tol, rank_factor)
+                continue
+            for j in js:
+                # float_residual's order: |S|, |A A* A|, the bound, |S - A A* A|
+                s_norm = float_norm(s[j - lo])
+                if aaa_norm is None:
+                    aaa_norm = float_norm(aaa)
+                bound = tolerance_bound(tol, 1.0 + s_norm + aaa_norm)
+                table[i][j] = (float_norm(d[j - lo]) <= bound
+                               and _ranges_leq(a, mats[j], rank_factor))
+    return table
 
 
 def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,

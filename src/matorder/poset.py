@@ -5,6 +5,12 @@ collapses mutually comparable elements into one node (relevant for the
 space pre-order and for duplicate inputs), and keeps only covering edges,
 i.e. the transitive reduction of the strict order between nodes. The DOT
 rendering lists every node and one edge per cover.
+
+Every relation is decided pair by pair with its own predicate, except the
+diamond order on a float family: ``orders.diamond_table`` decides that
+table row by row, with each row's sandwich products in one stacked numpy
+product, and holds one row (about 3·k·m·n entries for k m x n matrices)
+at a time.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ShapeError
-from .matrix import EQ_TOL, RANK_FACTOR
-from .orders import RELATIONS, diamond_verdict
+from .matrix import EQ_TOL, FLOAT, RANK_FACTOR, Matrix
+from .orders import RELATIONS, diamond_table, diamond_verdict
 
 
 @dataclass(frozen=True)
@@ -43,12 +49,12 @@ def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
     n = len(mats)
     if n == 0:
         return PosetGraph(relation, (), ())
-    shape = mats[0].shape
-    backend = mats[0].backend
-    for m in mats[1:]:
-        if m.shape != shape:
+    for m in mats:
+        if not isinstance(m, Matrix):
+            raise ShapeError("poset needs matrices")
+        if m.shape != mats[0].shape:
             raise ShapeError("poset needs equally shaped matrices")
-        if m.backend != backend:
+        if m.backend != mats[0].backend:
             raise DomainError("poset needs a single backend")
 
     pred = RELATIONS[relation]
@@ -59,8 +65,11 @@ def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
             return diamond_verdict(x, y, tol, rank_factor)
         return pred(x, y, tol, rank_factor).verdict
 
-    leq = [[i == j or holds(mats[i], mats[j]) for j in range(n)]
-           for i in range(n)]
+    if relation == "diamond" and mats[0].backend == FLOAT:
+        leq = diamond_table(mats, tol, rank_factor)
+    else:
+        leq = [[i == j or holds(mats[i], mats[j]) for j in range(n)]
+               for i in range(n)]
 
     # merge mutually comparable inputs into one node
     assigned = [-1] * n

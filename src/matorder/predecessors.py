@@ -88,6 +88,11 @@ def recover_idempotent(a: Matrix, hs: HSForm, tol: float = EQ_TOL,
     pseudoinverse. Raises DomainError when a does not fit the family within
     tolerance (residual rows, non-idempotent t, or failed reconstruction).
     """
+    return _recover(a, hs, tol, rank_factor)[0]
+
+
+def _recover(a: Matrix, hs: HSForm, tol: float, rank_factor: float) -> tuple:
+    """``recover_idempotent``'s t with (s^-1 t)+, which it rebuilds a from."""
     if a.backend != FLOAT:
         raise BackendError("recovery needs the float backend")
     n, r = hs.n, hs.r
@@ -107,7 +112,7 @@ def recover_idempotent(a: Matrix, hs: HSForm, tol: float = EQ_TOL,
     if not (matrices_equal(rebuilt @ hs.k, a11, tol)
             and matrices_equal(rebuilt @ hs.l, a12, tol)):
         raise DomainError("matrix is not in the predecessor family")
-    return t
+    return t, rebuilt
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,12 @@ def reverse_order_law(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     hs = hartwig_spindelbock(b, rank_factor)
     if not diamond_verdict(a, b, tol, rank_factor):
         raise DomainError("pair is not diamond-comparable")
-    t = recover_idempotent(a, hs, tol, rank_factor)
+    t, sit_pinv = _recover(a, hs, tol, rank_factor)
     direct = matrices_equal(
         moore_penrose(a @ b, rank_factor),
         moore_penrose(b, rank_factor) @ moore_penrose(a, rank_factor), tol)
     si = hs.sigma_inv()
-    lhs = moore_penrose(moore_penrose(si @ t, rank_factor) @ hs.k @ hs.sigma_diag(),
-                        rank_factor)
+    lhs = moore_penrose(sit_pinv @ hs.k @ hs.sigma_diag(), rank_factor)
     rhs = si @ hs.k.ct @ si @ t
     criterion = matrices_equal(lhs, rhs, tol)
     return direct, criterion

@@ -1,5 +1,6 @@
 """Cover diagrams: node merging, transitive reduction, DOT text."""
 
+import numpy as np
 import pytest
 
 from matorder import (DomainError, Matrix, PosetGraph, ShapeError,
@@ -69,6 +70,14 @@ def test_validation_errors():
         build_poset([("a", A), ("wide", Matrix.zeros(2, 3))])
     with pytest.raises(DomainError):
         build_poset([("a", A), ("f", B.to_float())])
+
+
+def test_items_must_be_matrices():
+    # wherever the non-matrix sits, and also when it is the only item
+    for items in ([("n", 3)], [("a", A), ("n", 3)], [("n", 3), ("a", A)],
+                  [("a", A), ("arr", np.zeros((2, 2)))]):
+        with pytest.raises(ShapeError, match="poset needs matrices"):
+            build_poset(items)
 
 
 def test_dot_rendering_exact_text():

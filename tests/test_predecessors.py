@@ -1,15 +1,19 @@
 """Predecessor constructors, parameter recovery, and the closed-form criteria."""
 
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matorder import (EXACT, FLOAT, BackendError, DomainError, Matrix,
-                      ShapeError, build_predecessor, dagger_isotone,
+from matorder import (EXACT, FLOAT, RANK_FACTOR, BackendError, DomainError,
+                      Matrix, ShapeError, build_predecessor, dagger_isotone,
                       diamond_predecessor, hartwig_spindelbock, is_bidagger,
-                      leq_diamond, matrices_equal, moore_penrose,
+                      leq_diamond, matrices_equal, moore_penrose, pinv,
                       predecessor_mp, rank, random_idempotent,
                       recover_idempotent, reverse_order_law)
+from matorder.orders import diamond_verdict
 from matorder.sampling import random_base_matrix
 
 TOL = 1e-9
@@ -140,6 +144,45 @@ def test_reverse_order_law_input_validation():
         reverse_order_law(Matrix.zeros(3, 3, FLOAT), DIAG)
     with pytest.raises(BackendError):
         reverse_order_law(Matrix.exact([[0, 1], [0, 0]]), DIAG)
+
+
+def reverse_order_law_recomputing(a, b, tol=TOL, rank_factor=RANK_FACTOR):
+    """reverse_order_law as it was before it reused recover_idempotent's
+    (s^-1 t)+: the criterion computes that pseudoinverse again."""
+    hs = hartwig_spindelbock(b, rank_factor)
+    if not diamond_verdict(a, b, tol, rank_factor):
+        raise DomainError("pair is not diamond-comparable")
+    t = recover_idempotent(a, hs, tol, rank_factor)
+    direct = matrices_equal(
+        moore_penrose(a @ b, rank_factor),
+        moore_penrose(b, rank_factor) @ moore_penrose(a, rank_factor), tol)
+    si = hs.sigma_inv()
+    lhs = moore_penrose(moore_penrose(si @ t, rank_factor) @ hs.k @ hs.sigma_diag(),
+                        rank_factor)
+    rhs = si @ hs.k.ct @ si @ t
+    return direct, matrices_equal(lhs, rhs, tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_reverse_order_law_takes_one_pseudoinverse_less(seed, n):
+    rng = random.Random(seed)
+    r = rng.randint(1, n)
+    b = random_base_matrix(n, r, rng)
+    a = diamond_predecessor(b, random_idempotent(r, rng.randint(0, r), rng))
+    outcomes, calls = [], []
+    for law in (reverse_order_law, reverse_order_law_recomputing):
+        # fresh copies, so that no pseudoinverse is memoized on them yet
+        fresh = [Matrix.from_ndarray(x.to_ndarray()) for x in (a, b)]
+        with patch.object(pinv, "_float_pinv", wraps=pinv._float_pinv) as spy:
+            try:
+                outcomes.append(law(*fresh))
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        calls.append(spy.call_count)
+    assert outcomes[0] == outcomes[1]
+    saved = 1 if isinstance(outcomes[0], tuple) else 0
+    assert calls[0] == calls[1] - saved
 
 
 def test_bidagger_cases():
