@@ -1,9 +1,10 @@
 """Float-backend matrix decompositions.
 
 Everything here leans on the SVD, so the exact backend is rejected at the
-boundary with a BackendError. Tests compare reconstructions and invariants
-rather than individual factor entries, since unitary factors are only
-determined up to phase.
+boundary with a BackendError. Each factorization reads the one SVD that
+``float_svd`` keeps per matrix. Tests compare reconstructions and
+invariants rather than individual factor entries, since unitary factors
+are only determined up to phase.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, block,
-                     hstack, memoized, rank, spectral_rank, vstack)
+                     float_svd, hstack, memoized, rank, vstack)
 from .pinv import moore_penrose
 
 
@@ -44,10 +45,7 @@ class SVDForm:
 def svd(a: Matrix) -> SVDForm:
     """Full SVD with singular values in descending order."""
     _require_float(a, "svd")
-    if a.rows == 0 or a.cols == 0:
-        return SVDForm(Matrix.identity(a.rows, FLOAT), (),
-                       Matrix.identity(a.cols, FLOAT))
-    u, s, vh = np.linalg.svd(a.to_ndarray())
+    u, s, vh, _ = float_svd(a)
     return SVDForm(Matrix.from_ndarray(u), tuple(float(x) for x in s),
                    Matrix.from_ndarray(vh.conj().T))
 
@@ -135,8 +133,7 @@ def hartwig_spindelbock(b: Matrix, rank_factor: float = RANK_FACTOR) -> HSForm:
     _require_float(b, "hartwig_spindelbock")
     if not b.is_square:
         raise ShapeError("need a square matrix, got %sx%s" % b.shape)
-    u1, s, v1h = np.linalg.svd(b.to_ndarray())
-    r = spectral_rank(s, b.shape, rank_factor)
+    u1, s, v1h, r = float_svd(b, rank_factor)
     w = v1h @ u1
     k = Matrix.from_ndarray(w[:r, :r])
     l = Matrix.from_ndarray(w[:r, r:])
@@ -231,8 +228,7 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     if not diamond_verdict(a, b, tol, rank_factor):
         raise DomainError("pair is not diamond-comparable")
 
-    u1, s, v1h = np.linalg.svd(b.to_ndarray())
-    r = spectral_rank(s, b.shape, rank_factor)
+    u1, s, v1h, r = float_svd(b, rank_factor)
     d = np.diag(s[:r])
 
     a_rot = u1.conj().T @ a.to_ndarray() @ v1h.conj().T

@@ -123,8 +123,8 @@ class Matrix:
     moment it is built, and builds ``entries`` from it on first read, for
     display and indexing. A float matrix stores ``_entries``, so the float
     branches read that slot and skip the property. ``_memo`` holds
-    what ``ct``, the exact elimination and the ``memoized`` factorizations
-    computed on this matrix.
+    what ``ct``, the exact elimination, the float SVD and the ``memoized``
+    factorizations computed on this matrix.
     """
 
     __slots__ = ("rows", "cols", "backend", "_entries", "_ints", "_memo")
@@ -591,8 +591,19 @@ def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
     """Rank: pivot count (exact) or singular values above a spectral cutoff (float)."""
     if a.backend == EXACT:
         return len(_elimination(a)[3])
+    # not float_svd: on numpy 2.4.6 its values differ in the last bits and could move a rank
     return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
                          a.shape, rank_factor)
+
+
+def float_svd(a: Matrix, rank_factor: float = RANK_FACTOR) -> tuple:
+    """``(u, s, vh, r)``: the full SVD a = u diag(s) vh of a float matrix,
+    kept read-only in ``a._memo``, and the rank r that rank_factor gives."""
+    memo = a._memo
+    if "svd" not in memo:
+        memo["svd"] = tuple(_read_only(x) for x in np.linalg.svd(a._entries))
+    u, s, vh = memo["svd"]
+    return u, s, vh, spectral_rank(s, a.shape, rank_factor)
 
 
 def spectral_rank(s, shape: tuple, rank_factor: float, floor: float = 0.0) -> int:

@@ -349,6 +349,7 @@ def _rank_above(m: Matrix, floor: float, rank_factor: float) -> int:
     ``floor`` as well as above the spectral cutoff."""
     if m.backend == EXACT:
         return rank(m)
+    # not float_svd, as in rank: its values could move the rank decision
     s = np.linalg.svd(m.to_ndarray(), compute_uv=False)
     return spectral_rank(s, m.shape, rank_factor, floor)
 

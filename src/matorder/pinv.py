@@ -2,21 +2,19 @@
 
 The pseudoinverse route differs per backend. Exact matrices go through a
 rank factorization A = C R (pivot columns times reduced row echelon rows)
-and the closed form A+ = R* (R R*)^-1 (C* C)^-1 C*, which stays inside the
-rational field. Float matrices go through the SVD with the spectral rank
-cutoff. The four defining residuals of a candidate pseudoinverse are
-available as an independent check either way.
+and MacDuffee's closed form A+ = R* (C* A R*)^-1 C*, one inverse inside
+the rational field. Float matrices go through the matrix's ``float_svd``
+with the spectral rank cutoff. The four defining residuals of a candidate
+pseudoinverse are available as an independent check either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeError
-from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, exact_rref, inverse,
-                     matrices_equal, memoized, spectral_rank)
+from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, exact_rref, float_svd,
+                     inverse, matrices_equal, memoized)
 
 
 @dataclass(frozen=True)
@@ -64,16 +62,11 @@ def _exact_pinv(a: Matrix) -> Matrix:
         return Matrix.zeros(a.cols, a.rows, EXACT)
     c = a.columns(pivots)
     rr = red.submatrix(0, r, 0, a.cols)
-    left = inverse(rr @ rr.ct)
-    right = inverse(c.ct @ c)
-    return rr.ct @ left @ right @ c.ct
+    return rr.ct @ inverse(c.ct @ a @ rr.ct) @ c.ct
 
 
 def _float_pinv(a: Matrix, rank_factor: float) -> Matrix:
-    u, s, vh = np.linalg.svd(a.to_ndarray())
-    r = spectral_rank(s, a.shape, rank_factor)
-    if r == 0:
-        return Matrix.zeros(a.cols, a.rows, a.backend)
+    u, s, vh, r = float_svd(a, rank_factor)
     out = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
     return Matrix.from_ndarray(out)
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BackendError, ShapeError
-from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, hstack,
-                     memoized, rank, spectral_rank)
+from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, float_svd,
+                     hstack, memoized, rank)
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,7 @@ def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
     """
     if a.backend == EXACT:
         return SubspaceBasis(a.rows, a.columns(_elimination(a)[3]))
-    u, s, _ = np.linalg.svd(a.to_ndarray())
-    r = spectral_rank(s, a.shape, rank_factor)
+    u, _, _, r = float_svd(a, rank_factor)
     return SubspaceBasis(a.rows, Matrix.from_ndarray(u[:, :r]))
 
 

@@ -46,6 +46,12 @@ def test_svd_of_diagonal_and_zero():
     assert abs(form.sigma[0] - 2.0) < TOL and abs(form.sigma[1] - 1.0) < TOL
     zform = svd(Matrix.zeros(2, 2, FLOAT))
     assert all(s < TOL for s in zform.sigma)
+    for m, n in ((0, 3), (3, 0)):
+        empty = svd(Matrix.zeros(m, n, FLOAT))
+        assert empty.u == Matrix.identity(m, FLOAT)
+        assert empty.v == Matrix.identity(n, FLOAT)
+        assert empty.sigma == ()
+        assert empty.reconstruct() == Matrix.zeros(m, n, FLOAT)
 
 
 def test_svd_rejects_exact_backend():

@@ -1,19 +1,22 @@
 """Per-matrix memo: the adjoint, pseudoinverse, column space, block form,
-exact integer form and exact elimination are computed once per Matrix
-object, exact entries are built only when read, and none of it changes a
-result."""
+float SVD, exact integer form and exact elimination are computed once per
+Matrix object, exact entries are built only when read, and none of it
+changes a result."""
 
 import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
-                      build_poset, column_space, exact_rref, hartwig_spindelbock,
-                      hstack, matrix, moore_penrose, pinv, rank, vstack)
+                      build_poset, column_space, diamond_canonical_pair,
+                      diamond_predecessor, exact_rref, hartwig_spindelbock,
+                      hstack, matrices_equal, matrix, moore_penrose, pinv,
+                      random_idempotent, rank, svd, vstack)
 from matorder.scalars import GaussianRational
 from matorder.sampling import random_base_matrix
 
@@ -60,6 +63,9 @@ def test_each_rank_factor_gets_its_own_result():
         assert column_space(b, rf).dim == rank
         assert hartwig_spindelbock(b, rf).r == rank
     assert moore_penrose(b, 1e3) != moore_penrose(b, 64.0)
+    low, high = matrix.float_svd(b, 1e3), matrix.float_svd(b, 64.0)
+    assert all(x is y for x, y in zip(low[:3], high[:3]))
+    assert (low[3], high[3]) == (1, 2)
 
 
 @pytest.mark.parametrize("a", [Matrix.exact([[1, (0, 1)], [2, 3]]),
@@ -75,10 +81,12 @@ def test_cached_values_are_read_only():
     b = Matrix.from_complex([[1, 2], [0, 0]])
     hs = hartwig_spindelbock(b)
     space = column_space(b)
-    for m in (b.ct, moore_penrose(b), space.basis, hs.u, hs.k, hs.l):
-        assert not m.entries.flags.writeable
+    u, s, vh, _ = matrix.float_svd(b)
+    for arr in [m.entries for m in (b.ct, moore_penrose(b), space.basis,
+                                    hs.u, hs.k, hs.l)] + [u, s, vh]:
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 5
+            arr[(0,) * arr.ndim] = 5
     for value, field in ((space, "basis"), (hs, "k")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, b)
@@ -189,6 +197,34 @@ def test_one_elimination_per_matrix(monkeypatch):
     re, im, _, kept = a._memo["gauss_jordan"]
     assert kept == pivots == (0, 1)
     assert not re.flags.writeable and not im.flags.writeable
+
+
+def test_one_svd_per_float_matrix(monkeypatch):
+    rng = random.Random(3)
+    b = random_base_matrix(4, 3, rng)
+    a = diamond_predecessor(b, random_idempotent(3, 2, rng))
+    decomposed = []
+    real = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            decomposed.append(x)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    c = _fresh(b)
+    for rf in (64.0, 1e3, 64.0):
+        moore_penrose(c, rf)
+        column_space(c, rf)
+        hartwig_spindelbock(c, rf)
+        svd(c)
+    assert len(decomposed) == 1 and decomposed[0] is c._entries
+    b = _fresh(b)
+    column_space(b)
+    decomposed.clear()
+    pair = diamond_canonical_pair(a, b)
+    assert matrices_equal(pair.second(), b)
+    assert not any(x is b._entries for x in decomposed)
 
 
 def test_exact_kernels_build_entries_only_when_read(monkeypatch):

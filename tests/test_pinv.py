@@ -39,8 +39,8 @@ def test_pinv_frozen_rank_one_example():
 
 def test_pinv_of_zero_and_empty():
     assert moore_penrose(Matrix.zeros(2, 3, EXACT)) == Matrix.zeros(3, 2, EXACT)
-    assert moore_penrose(Matrix.zeros(2, 3, FLOAT)).shape == (3, 2)
-    assert moore_penrose(Matrix.zeros(0, 2, FLOAT)).shape == (2, 0)
+    for m, n in ((2, 3), (0, 2), (2, 0)):
+        assert moore_penrose(Matrix.zeros(m, n, FLOAT)) == Matrix.zeros(n, m, FLOAT)
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,6 +80,16 @@ def test_recover_rejects_outsiders():
         recover_idempotent(Matrix.exact([[1, 0], [0, 0]]), hs)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_bad_tolerance_is_reported_as_such(tol):
+    hs = hartwig_spindelbock(DIAG)
+    a = diamond_predecessor(DIAG, T_SHEAR)
+    with pytest.raises(DomainError, match="tolerance bound"):
+        recover_idempotent(a, hs, tol)
+    with pytest.raises(DomainError, match="tolerance bound"):
+        dagger_isotone(DIAG, T_SHEAR, tol)
+
+
 def test_random_family_round_trip():
     rng = random.Random(101)
     for _ in range(8):
