@@ -2,9 +2,10 @@
 
 Everything here leans on the SVD, so the exact backend is rejected at the
 boundary with a BackendError. Each factorization reads the one SVD that
-``float_svd`` keeps per matrix. Tests compare reconstructions and
-invariants rather than individual factor entries, since unitary factors
-are only determined up to phase.
+``float_svd`` keeps per matrix, and ``HSForm.predecessor`` keeps the
+predecessor it builds on its idempotent, with the form that built it.
+Tests compare reconstructions and invariants rather than individual
+factor entries, since unitary factors are only determined up to phase.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, block,
-                     float_svd, hstack, memoized, rank, vstack)
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
+                     block, float_svd, hstack, memoized, rank, vstack)
 from .pinv import moore_penrose
 
 
@@ -104,9 +105,19 @@ class HSForm:
     def predecessor(self, t: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
         """The matrix below the reconstructed one in the diamond order that
         the r x r idempotent t determines: u [[ck, cl], [0, 0]] u* with
-        c = (s^-1 t)+."""
-        c = moore_penrose(self.sigma_inv() @ t, rank_factor)
-        return self.u @ self._top_block_row(c) @ self.u.ct
+        c = (s^-1 t)+.
+
+        The result is kept in ``t._memo`` with this form, one per
+        rank_factor, and returned again while the form is this one, so its
+        own memo (pinv, column spaces) is shared by every later caller.
+        """
+        key = ("predecessor", rank_factor)
+        form, a = t._memo.get(key, (None, None))
+        if form is not self:
+            c = moore_penrose(self.sigma_inv() @ t, rank_factor)
+            a = _chain(self.u, self._top_block_row(c), self.u.ct)
+            t._memo[key] = (self, a)
+        return a
 
     def predecessor_pinv(self, t: Matrix) -> Matrix:
         """Closed-form pseudoinverse of ``predecessor(t)``:
@@ -114,7 +125,7 @@ class HSForm:
         sit = self.sigma_inv() @ t
         left = vstack(self.k.ct @ sit, self.l.ct @ sit)
         rest = Matrix.zeros(self.n, self.n - self.r, FLOAT)
-        return self.u @ hstack(left, rest) @ self.u.ct
+        return _chain(self.u, hstack(left, rest), self.u.ct)
 
     def pinv(self) -> Matrix:
         """Closed-form pseudoinverse of the reconstructed matrix, which is

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -254,7 +255,10 @@ class Matrix:
             return self._entries
         re, im, d = self.integer_form
         # int / int rounds correctly, so each value is complex() of the entry
-        values = [complex(x / d, y / d) for x, y in zip(re.flat, im.flat)]
+        try:
+            values = [complex(x / d, y / d) for x, y in zip(re.flat, im.flat)]
+        except OverflowError as exc:
+            raise DomainError("exact entry does not fit a double") from exc
         return np.array(values, dtype=complex).reshape(self.shape)
 
     def to_float(self) -> "Matrix":
@@ -421,6 +425,38 @@ def _stack(join, mats, side: int, message: str) -> Matrix:
                              join([im for _, im in parts]), d, reduced=True)
 
 
+def _chain(*mats: Matrix) -> Matrix:
+    """``mats[0] @ mats[1] @ ...``, left to right, with one wrap and one
+    finiteness check at the end instead of one per product.
+
+    The backends and inner dimensions are checked first, with the messages
+    of ``@``. Each product is the one ``@`` forms, so the result is the
+    same bit for bit. A non-finite entry of a product spreads to a whole
+    row or column of the next (inf·0 is NaN), so a non-finite result is
+    the only sign of an overflow, unless a product is empty. A non-finite
+    result, an empty factor and the exact backend take the ``@`` path,
+    which warns and raises at the first overflowing product as before.
+    """
+    first = mats[0]
+    for x, y in zip(mats, mats[1:]):
+        if y.backend != first.backend:
+            raise BackendError("mixed backends: %s vs %s" % (first.backend, y.backend))
+        if x.cols != y.rows:
+            raise ShapeError("product needs inner dims to agree, got %s and %s"
+                             % ((first.rows, x.cols), y.shape))
+    if first.backend == EXACT or not all(m.rows and m.cols for m in mats):
+        return functools.reduce(operator.matmul, mats)
+    arr = first._entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in mats[1:]:
+            arr = arr @ m._entries
+    try:
+        return Matrix._wrap(arr)
+    except DomainError:
+        pass
+    return functools.reduce(operator.matmul, mats)
+
+
 def hstack(*mats: Matrix) -> Matrix:
     return _stack(np.hstack, mats, 0, "hstack needs equal row counts")
 
@@ -474,8 +510,13 @@ def float_residual(a: Matrix, b: Matrix, tol: float) -> tuple:
 
 def float_norm(arr) -> float:
     """Frobenius norm of a finite complex array, as ``Matrix.frobenius``
-    computes it on the float backend."""
-    norm = float(np.linalg.norm(arr))
+    computes it on the float backend: ``float(np.linalg.norm(arr))`` bit for
+    bit, by numpy's own formula without its dispatch."""
+    # numpy ravels in memory order; a C-order ravel of a transposed or
+    # sliced view would sum the squares in another order
+    x = arr.ravel(order="K")
+    re, im = x.real, x.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     if norm == math.inf:
         # the squares of entries beyond 1e154 overflowed: compute again
         # on the entries scaled by a power of two, which is exact
@@ -636,7 +677,11 @@ def inverse(a: Matrix) -> Matrix:
 def _ratio_str(n: int, d: int) -> str:
     """The 'p/q' encoding of n/d: reduced, q > 0 (for d > 0)."""
     g = math.gcd(n, d)
-    return "%d/%d" % (n // g, d // g)
+    try:
+        return "%d/%d" % (n // g, d // g)
+    except ValueError as exc:
+        # past sys.get_int_max_str_digits(), which also bounds what is read
+        raise DomainError("exact entry too long to write: %s" % exc) from exc
 
 
 def matrix_to_dict(a: Matrix) -> dict:
@@ -656,7 +701,7 @@ def matrix_from_dict(d: dict) -> Matrix:
         raise MatOrderError("matrix object needs rows/cols/backend/entries") from exc
     if backend not in (EXACT, FLOAT):
         raise MatOrderError("unknown backend %r" % (backend,))
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise MatOrderError("rows/cols must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise MatOrderError("entry grid does not match declared shape")
@@ -695,6 +740,7 @@ def matrix_to_json(a: Matrix) -> str:
 def matrix_from_json(text: str) -> Matrix:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an int literal past int()'s digit limit
         raise MatOrderError("invalid JSON: %s" % exc) from exc
     return matrix_from_dict(obj)

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
                      float_norm, float_residual, matrices_equal, rank,
                      spectral_rank, tolerance_bound)
 from .pinv import moore_penrose, projector_range
@@ -202,7 +202,7 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """Diamond order: the space pre-order plus A B* A = A A* A."""
     _check_pair(a, b)
     space = leq_space(a, b, tol, rank_factor, inner_samples=0)
-    sandwich, ratio = _ident(a @ b.ct @ a, a @ a.ct @ a, tol)
+    sandwich, ratio = _ident(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)
     return OrderReport("diamond", space.verdict and sandwich, "definition", {
         "space": space.verdict, "sandwich": sandwich,
         "range_inclusion": space.witnesses["range_inclusion"],
@@ -222,7 +222,7 @@ def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     whose report raises DomainError there raises it here too.
     """
     _check_pair(a, b)
-    return (_ident(a @ b.ct @ a, a @ a.ct @ a, tol)[0]
+    return (_ident(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)[0]
             and _ranges_leq(a, b, rank_factor))
 
 

@@ -1,12 +1,19 @@
 """End-to-end command line behavior, run in process via main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matorder import MatOrderError, Matrix, matrix_to_json
 from matorder.cli import _emit, main
+from matorder.orders import DIAMOND_ROUTES, RELATIONS
 
 A = Matrix.exact([[0, 1], [0, 0]])
 B = Matrix.exact([[1, 1], [0, 1]])
@@ -240,6 +247,20 @@ def test_overflowing_entries_are_a_usage_error(files, capsys, order):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, entry", [
+    # 1 / (1 + iN) has a denominator of 8,000 digits, past what int() writes
+    (["pinv"], (1, int("9" * 4000))),
+    # an exact entry beyond the float range, cast to float
+    (["--backend", "float", "pinv"], (10 ** 400, 0)),
+])
+def test_unwritable_result_is_a_usage_error(files, capsys, argv, entry):
+    a = files("a.json", Matrix.exact([[entry]]))
+    code, out, err = run(capsys, *argv, a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_mixed_backends_need_explicit_cast(files, capsys):
     a = files("a.json", A)
     bf = files("bf.json", B.to_float())
@@ -311,3 +332,82 @@ def test_zero_tolerance_poset(tmp_path, capsys):
     code, out, err = run(capsys, "--tol", "0", "poset", str(corpus))
     assert code == 0 and err == ""
     assert '"zero" -> "a";' in out
+
+
+# JSON values that stress the wire format: huge ints, subnormals, -0.0,
+# 1e308, bools, strings (rationals among them) and nesting. json.dumps
+# cannot write an int past the 4,300 digits that int() converts by
+# default, so a marker string stands for one until the text is written.
+HUGE_INT = "<int of 5000 digits>"
+EDGE_NUMBERS = st.sampled_from([0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300,
+                                1e154, 1e308, -1e308, 1.7976931348623157e308,
+                                10 ** 400, -(10 ** 400)]) | st.just(HUGE_INT)
+SMALL_NUMBERS = st.integers(-2, 2) | st.floats(-4, 4)
+NUMBERS = (EDGE_NUMBERS | SMALL_NUMBERS
+           | st.floats(allow_nan=False, allow_infinity=False))
+SMALL_RATIONALS = st.sampled_from(["0", "1", "-1/2", "3/7", "2"])
+RATIONALS = SMALL_RATIONALS | st.sampled_from([
+    "1/0", "2.5", "1e300", "-0", "9" * 4000, "9" * 5000 + "/7",
+    "1/" + "3" * 300, " 1/2 ", "x", "", "1//2"])
+SCALARS = (st.none() | st.booleans() | NUMBERS | RATIONALS
+           | st.text(alphabet="ab/.- ", max_size=4))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3), max_leaves=8)
+
+
+def _matrix_docs(rows, cols):
+    """rows x cols matrix documents: well formed with small entries, well
+    formed with edge values anywhere, damaged in any field, or no matrix."""
+    def doc(backend, value, junk=st.nothing()):
+        pair = st.lists(value, min_size=2, max_size=2) | junk
+        grid = st.lists(st.lists(pair, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+        return st.fixed_dictionaries({
+            "rows": st.just(rows) | junk, "cols": st.just(cols) | junk,
+            "backend": st.just(backend) | junk, "entries": grid | junk})
+
+    return st.one_of(doc("float", SMALL_NUMBERS), doc("exact", SMALL_RATIONALS),
+                     doc("float", NUMBERS), doc("exact", RATIONALS),
+                     doc("float", SCALARS, JSON_VALUES),
+                     doc("exact", SCALARS, JSON_VALUES), JSON_VALUES)
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_quietly(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_is_total_on_json_documents(data):
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    docs = [data.draw(_matrix_docs(rows, cols))]
+    docs.append(data.draw(st.just(docs[0]) | _matrix_docs(rows, cols)))
+    order = data.draw(st.sampled_from(sorted(RELATIONS)))
+    via = data.draw(st.sampled_from(sorted(DIAMOND_ROUTES))) if order == "diamond" \
+        else "definition"
+    backend = data.draw(st.sampled_from([[], ["--backend", "float"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            path = Path(tmp) / ("m%d.json" % i)
+            path.write_text(json.dumps(doc).replace('"%s"' % HUGE_INT, "9" * 5000))
+            paths.append(str(path))
+        runs = [backend + ["check", "--order", order, "--via", via] + paths,
+                backend + ["pinv", paths[0]]]
+        for argv in runs:
+            code, out = _run_quietly(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out == "", argv
+            else:
+                _strict_json(out)

@@ -1,8 +1,11 @@
 """Matrix type, arithmetic, rank, inverse, and the JSON wire format."""
 
+import functools
 import json
 import math
+import operator
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderErro
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix_to_json, moore_penrose, rank, vstack)
+from matorder.matrix import _chain, float_norm
 from matorder.scalars import GaussianRational, gaussian
 
 SMALL = st.integers(min_value=-3, max_value=3)
@@ -504,6 +508,9 @@ def test_json_round_trip_property(a):
     '{"rows": 1, "cols": 1, "backend": "float", "entries": [[[1e400, 0.0]]]}',
     pytest.param('{"rows": 1, "cols": 1, "backend": "float", "entries": [[[1%s, 0]]]}'
                  % ("0" * 400), id="float-int-beyond-double"),
+    '{"rows": 0, "cols": false, "backend": "float", "entries": []}',
+    pytest.param('{"rows": 1, "cols": 1, "backend": "float", "entries": [[[1%s, 0]]]}'
+                 % ("0" * 5000), id="int-past-the-digit-limit"),
 ])
 def test_malformed_json_rejected(payload):
     with pytest.raises(MatOrderError):
@@ -559,6 +566,89 @@ def test_frobenius_of_huge_entries_is_finite():
     # |a| + |b| overflows, so no relative bound separates these two
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
         matrices_equal(Matrix.from_complex([[1e308]]), Matrix.from_complex([[9e307]]))
+
+
+def _random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _kernels(*mats):
+    return functools.reduce(operator.matmul, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(0, 5), min_size=3, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chain_is_the_product_bit_for_bit(dims, seed):
+    rng = np.random.default_rng(seed)
+    mats = [Matrix.from_ndarray(_random_complex(rng, r, c))
+            for r, c in zip(dims, dims[1:])]
+    # adjoints too, whose entries are laid out as transposed views
+    for chain in (mats, [m.ct for m in reversed(mats)]):
+        got, want = _chain(*chain), _kernels(*chain)
+        assert got.shape == want.shape
+        assert got._entries.tobytes() == want._entries.tobytes()
+        assert not got._entries.flags.writeable
+    exact = [Matrix(m.rows, m.cols, EXACT, np.round(m._entries.real).astype(int).tolist())
+             for m in mats]
+    assert _chain(*exact) == _kernels(*exact)
+
+
+def _outcome(product, mats) -> tuple:
+    """The exception and the warnings that computing ``product(*mats)`` gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            product(*mats)
+            error = None
+        except MatOrderError as exc:
+            error = (type(exc), str(exc))
+    return error, [(w.category, str(w.message)) for w in caught]
+
+
+M23 = Matrix.from_complex([[1, 2, 3], [4, 5, 6j]])
+BIG = Matrix.from_complex([[1e308, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("mats", [
+    (M23, M23, M23),
+    (M23, M23.ct, M23, M23),
+    (M23.ct, M23, Matrix.zeros(2, 2, FLOAT)),
+    (M23, M23.ct, Matrix.exact([[1, 0], [0, 1]])),
+    (M23, Matrix.exact([[1], [0], [0]]), Matrix.zeros(1, 1, FLOAT)),
+], ids=["inner", "last-inner", "empty-shape", "backend", "middle-backend"])
+def test_chain_raises_what_the_product_raises(mats):
+    want, _ = _outcome(_kernels, mats)
+    assert want is not None
+    assert _outcome(_chain, mats) == (want, [])
+
+
+@pytest.mark.parametrize("mats", [
+    (BIG.ct, BIG, M23.ct.submatrix(0, 2, 0, 2)),
+    (M23.submatrix(0, 2, 0, 2), BIG.ct, BIG),
+    (BIG, BIG.ct, BIG, BIG.ct),
+    # the overflow leaves an empty result, or an empty factor between
+    (BIG.ct, BIG, Matrix.zeros(2, 0, FLOAT)),
+    (BIG.ct, BIG, Matrix.zeros(2, 0, FLOAT), Matrix.zeros(0, 2, FLOAT)),
+], ids=["first", "second", "every", "then-n-by-0", "through-0"])
+def test_chain_overflows_as_the_product_does(mats):
+    want = _outcome(_kernels, mats)
+    assert want[0][0] is DomainError
+    assert want[1][0] == (RuntimeWarning, "overflow encountered in matmul")
+    assert _outcome(_chain, mats) == want
+
+
+@pytest.mark.parametrize("view", [
+    lambda x: x, lambda x: x.T, lambda x: x.conj().T, lambda x: x[1:, ::2],
+    lambda x: x.T[::-1, 1:], lambda x: x[:0], lambda x: x[:, :0].T,
+], ids=["c-order", "transposed", "adjoint", "sliced", "transposed-sliced",
+        "0-by-n", "n-by-0"])
+def test_float_norm_is_numpys_norm_bit_for_bit(view):
+    rng = np.random.default_rng(7)
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            arr = view(_random_complex(rng, rows, cols) * 10.0 ** rng.integers(-3, 4))
+            assert float_norm(arr).hex() == float(np.linalg.norm(arr)).hex()
 
 
 def test_overflowing_float_kernel_is_a_domain_error():

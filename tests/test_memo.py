@@ -1,7 +1,8 @@
 """Per-matrix memo: the adjoint, pseudoinverse, column space, block form,
 float SVD, exact integer form and exact elimination are computed once per
-Matrix object, exact entries are built only when read, and none of it
-changes a result."""
+Matrix object, and the diamond predecessor once per idempotent and block
+form; exact entries are built only when read, and none of it changes a
+result."""
 
 import dataclasses
 import math
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
-                      build_poset, column_space, diamond_canonical_pair,
+                      build_poset, build_predecessor, column_space,
+                      dagger_isotone, diamond_canonical_pair,
                       diamond_predecessor, exact_rref, hartwig_spindelbock,
                       hstack, matrices_equal, matrix, moore_penrose, pinv,
-                      random_idempotent, rank, svd, vstack)
+                      random_idempotent, rank, reverse_order_law, svd, vstack)
 from matorder.scalars import GaussianRational
 from matorder.sampling import random_base_matrix
 
@@ -225,6 +227,45 @@ def test_one_svd_per_float_matrix(monkeypatch):
     pair = diamond_canonical_pair(a, b)
     assert matrices_equal(pair.second(), b)
     assert not any(x is b._entries for x in decomposed)
+
+
+def test_predecessor_is_built_once_per_idempotent_and_form():
+    rng = random.Random(5)
+    b = random_base_matrix(5, 3, rng)
+    t = random_idempotent(3, 2, rng)
+    a = diamond_predecessor(b, t)
+    assert diamond_predecessor(b, t) is a
+    assert a == diamond_predecessor(_fresh(b), _fresh(t))
+    # another base of the same rank keeps its own predecessor of t
+    other = random_base_matrix(5, 3, rng)
+    c = diamond_predecessor(other, t)
+    assert c is not a and not matrices_equal(c, a)
+    assert c == diamond_predecessor(_fresh(other), _fresh(t))
+    assert diamond_predecessor(other, t) is c
+    # and so does another rank_factor
+    assert diamond_predecessor(b, t, rank_factor=1e3) is not a
+
+
+def test_dagger_isotone_reuses_the_built_predecessor(monkeypatch):
+    rng = random.Random(11)
+    b = random_base_matrix(6, 4, rng)
+    t = random_idempotent(4, 2, rng)
+    bundle = build_predecessor(b, t)
+    reverse_order_law(bundle.predecessor, b)
+    decomposed = []
+    real = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            decomposed.append(np.array(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    direct, criterion = dagger_isotone(b, t)
+    assert direct == criterion
+    assert not any(x.shape == bundle.predecessor.shape
+                   and (x == bundle.predecessor.entries).all() for x in decomposed)
+    assert (direct, criterion) == dagger_isotone(_fresh(b), _fresh(t))
 
 
 def test_exact_kernels_build_entries_only_when_read(monkeypatch):
