@@ -9,10 +9,12 @@ on that form, so equality is a comparison of integers and rank is decided
 by a fraction-free elimination. Every exact constructor builds that form
 at once with ``_integer_form``; GaussianRational entries are built only
 when read, for display and indexing. The float backend stores finite
-complex128 entries; comparisons there go through ``matrices_equal`` with
-a relative Frobenius tolerance, and rank goes through singular values
-with a spectral cutoff. Each arithmetic kernel is one numpy expression on
-the stored arrays.
+complex128 entries. Every float threshold in the package is
+``tolerance_bound`` of the operands' Frobenius norms: comparisons go
+through ``_compare`` (``matrices_equal`` is its verdict), and rank counts
+singular values above a spectral cutoff, or above such a bound where a
+caller floors it (``_rank``). Each arithmetic kernel is one numpy
+expression on the stored arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import functools
 import json
 import math
 import operator
+import re as regex  # re names real parts here
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -490,22 +494,27 @@ def memoized(f):
 
 
 def matrices_equal(a: Matrix, b: Matrix, tol: float = EQ_TOL) -> bool:
-    """Backend-aware equality.
+    """Backend-aware equality: entrywise on the exact backend, and by the
+    relative Frobenius rule of ``_compare`` on the float backend."""
+    return _compare(a, b, tol)[0]
 
-    Exact: entrywise. Float: ``diff <= bound`` from ``float_residual``.
-    """
+
+def _compare(a: Matrix, b: Matrix, tol: float) -> tuple:
+    """``(verdict, margin)`` of a == b: ``(a == b, None)`` on the exact
+    backend. On the float backend a equals b when diff <= bound, for
+    diff = |a - b|_F and bound = ``tolerance_bound(tol, |a|_F, |b|_F)``,
+    and the margin is diff / bound; under a zero bound (tol = 0) it is 0.0
+    for equal sides and infinite otherwise."""
     a._check_same_shape(b, "comparison")
     if a.backend == EXACT:
-        return a == b
-    diff, bound = float_residual(a, b, tol)
-    return diff <= bound
-
-
-def float_residual(a: Matrix, b: Matrix, tol: float) -> tuple:
-    """The relative Frobenius rule for float equality as (diff, bound):
-    |a - b|_F and tol * (1 + |a|_F + |b|_F); a equals b when diff <= bound."""
-    bound = tolerance_bound(tol, 1.0 + a.frobenius() + b.frobenius())
-    return (a - b).frobenius(), bound
+        return a == b, None
+    bound = tolerance_bound(tol, a.frobenius(), b.frobenius())
+    diff = (a - b).frobenius()
+    if bound:
+        margin = diff / bound
+    else:
+        margin = math.inf if diff else 0.0
+    return diff <= bound, margin
 
 
 def float_norm(arr) -> float:
@@ -527,13 +536,18 @@ def float_norm(arr) -> float:
     return norm
 
 
-def tolerance_bound(tol: float, scale: float) -> float:
-    """tol * scale, a float threshold relative to the operands' scale.
+def tolerance_bound(tol: float, *norms: float) -> float:
+    """tol * (1.0 + n1 + n2 + ...): the one float threshold, relative to
+    the Frobenius norms ``norms`` of the operands it judges. The norms are
+    added left to right without compensation, as that expression adds them.
 
-    A negative or NaN tol, or a scale beyond the float range, leaves no
+    A negative or NaN tol, or norms beyond the float range, leave no
     threshold that separates equal from unequal, so anything but a finite
     non-negative bound is a DomainError.
     """
+    scale = 1.0
+    for norm in norms:
+        scale += norm
     bound = tol * scale
     if not 0.0 <= bound < math.inf:
         raise DomainError("tolerance bound %r is not a finite non-negative "
@@ -544,12 +558,13 @@ def tolerance_bound(tol: float, scale: float) -> float:
 
 def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
     """Whether a is zero: entrywise on the exact backend. On the float
-    backend the rule is |a|_F <= tol * (1 + |a|_F), which for tol < 1 is
-    |a|_F <= tol / (1 - tol), about |a|_F <= tol for small tol: an absolute
-    test, whose threshold does not scale with a."""
+    backend the rule is |a|_F <= tolerance_bound(tol, |a|_F), which for
+    tol < 1 is |a|_F <= tol / (1 - tol), about |a|_F <= tol for small tol:
+    an absolute test, whose threshold does not scale with a."""
     if a.backend == EXACT:
         return a.is_zero()
-    return a.frobenius() <= tolerance_bound(tol, 1.0 + a.frobenius())
+    norm = a.frobenius()
+    return norm <= tolerance_bound(tol, norm)
 
 
 def _exact_quotient(x, n):
@@ -630,11 +645,17 @@ def exact_rref(a: Matrix):
 
 def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
     """Rank: pivot count (exact) or singular values above a spectral cutoff (float)."""
+    return _rank(a, rank_factor, 0.0)
+
+
+def _rank(a: Matrix, rank_factor: float, floor: float) -> int:
+    """``rank``, counting on the float backend only singular values above
+    ``floor`` as well as above the spectral cutoff."""
     if a.backend == EXACT:
         return len(_elimination(a)[3])
     # not float_svd: on numpy 2.4.6 its values differ in the last bits and could move a rank
     return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
-                         a.shape, rank_factor)
+                         a.shape, rank_factor, floor)
 
 
 def float_svd(a: Matrix, rank_factor: float = RANK_FACTOR) -> tuple:
@@ -694,6 +715,23 @@ def matrix_to_dict(a: Matrix) -> dict:
     return {"rows": a.rows, "cols": a.cols, "backend": a.backend, "entries": ent}
 
 
+# the decimal exponent at the end of a Fraction string, read as Fraction
+# reads it: an optional sign, digits with single underscores, e or E
+_EXPONENT = regex.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", regex.IGNORECASE)
+
+
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, once a decimal exponent is checked to stay within
+    int()'s digit limit: Fraction computes 10**|exponent|, whose cost grows
+    faster than the exponent and reaches seconds for "1e-10000000"."""
+    exp = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exp and abs(int(exp.group(1))) > limit:
+        raise MatOrderError("exact entry %r has a decimal exponent beyond %d"
+                            % (text, limit))
+    return Fraction(text)
+
+
 def matrix_from_dict(d: dict) -> Matrix:
     try:
         rows, cols, backend, entries = d["rows"], d["cols"], d["backend"], d["entries"]
@@ -717,7 +755,9 @@ def matrix_from_dict(d: dict) -> Matrix:
                 if not isinstance(re, str) or not isinstance(im, str):
                     raise MatOrderError("exact entries must be 'p/q' strings")
                 try:
-                    values.append((Fraction(re), Fraction(im)))
+                    values.append((_rational(re), _rational(im)))
+                except MatOrderError:
+                    raise
                 except (ValueError, ZeroDivisionError) as exc:
                     raise MatOrderError("bad rational %r" % ((re, im),)) from exc
             else:

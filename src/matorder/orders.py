@@ -4,7 +4,10 @@ Each predicate takes two equally shaped matrices on the same backend and
 returns an OrderReport: the boolean verdict plus witness data (ranks,
 identity residuals, cross-checks). Verdicts are decided by equational and
 rank characterizations, never by sampling; sampled inner inverses only
-cross-check the universally quantified formulations.
+cross-check the universally quantified formulations. Every float
+threshold comes from ``matrix``: identities are decided by its
+``_compare``, whose residual over bound is the report's margin, and ranks
+by its rank rule, which the rank route floors at ``tolerance_bound``.
 
 Relations covered, in the usual notation:
 
@@ -31,7 +34,6 @@ sandwich identities; it holds one row, O(k·m·n) entries, at a time.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -40,8 +42,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
-                     float_norm, float_residual, matrices_equal, rank,
-                     spectral_rank, tolerance_bound)
+                     _compare, _rank, float_norm, matrices_equal, rank,
+                     tolerance_bound)
 from .pinv import moore_penrose, projector_range
 from .sampling import gauss_array
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -68,20 +70,6 @@ def _check_pair(a: Matrix, b: Matrix):
     a._check_same_shape(b, "order comparison")
 
 
-def _ident(lhs: Matrix, rhs: Matrix, tol: float):
-    """Equality verdict plus residual-over-tolerance ratio (float backend).
-    Under a zero bound (tol = 0) the ratio is 0.0 for equal sides and
-    infinite otherwise."""
-    if lhs.backend == EXACT:
-        return matrices_equal(lhs, rhs, tol), None
-    diff, bound = float_residual(lhs, rhs, tol)
-    if bound:
-        ratio = diff / bound
-    else:
-        ratio = math.inf if diff else 0.0
-    return diff <= bound, ratio
-
-
 def _range_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
     """Whether col(a) <= col(b)."""
     return subspace_leq(column_space(a, rank_factor),
@@ -102,11 +90,11 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """
     _check_pair(a, b)
     act = a.ct
-    g_left, m1 = _ident(act @ a, act @ b, tol)
-    g_right, m2 = _ident(a @ act, b @ act, tol)
+    g_left, m1 = _compare(act @ a, act @ b, tol)
+    g_right, m2 = _compare(a @ act, b @ act, tol)
     ad = moore_penrose(a, rank_factor)
-    d_left, m3 = _ident(ad @ a, ad @ b, tol)
-    d_right, m4 = _ident(a @ ad, b @ ad, tol)
+    d_left, m3 = _compare(ad @ a, ad @ b, tol)
+    d_right, m4 = _compare(a @ ad, b @ ad, tol)
     verdict = g_left and g_right
     return OrderReport("star", verdict, "definition", {
         "gram_left": g_left, "gram_right": g_right,
@@ -156,8 +144,8 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     verdict = col_ok and row_ok
 
     bd = moore_penrose(b, rank_factor)
-    p1, m1 = _ident(b @ bd @ a, a, tol)
-    p2, m2 = _ident(a @ bd @ b, a, tol)
+    p1, m1 = _compare(b @ bd @ a, a, tol)
+    p2, m2 = _compare(a @ bd @ b, a, tol)
     proj_ok = p1 and p2
     ratios = [m1, m2]
 
@@ -171,8 +159,8 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
         for _ in range(inner_samples):
             w = _random_param(a.cols, a.rows, a.backend, rng)
             g = bd + w - qb @ w @ pb
-            s1, r1 = _ident(b @ g @ a, a, tol)
-            s2, r2 = _ident(a @ g @ b, a, tol)
+            s1, r1 = _compare(b @ g @ a, a, tol)
+            s2, r2 = _compare(a @ g @ b, a, tol)
             ratios.extend([r1, r2])
             if not (s1 and s2):
                 sampled_ok = False
@@ -202,7 +190,7 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """Diamond order: the space pre-order plus A B* A = A A* A."""
     _check_pair(a, b)
     space = leq_space(a, b, tol, rank_factor, inner_samples=0)
-    sandwich, ratio = _ident(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)
+    sandwich, ratio = _compare(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)
     return OrderReport("diamond", space.verdict and sandwich, "definition", {
         "space": space.verdict, "sandwich": sandwich,
         "range_inclusion": space.witnesses["range_inclusion"],
@@ -222,7 +210,7 @@ def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     whose report raises DomainError there raises it here too.
     """
     _check_pair(a, b)
-    return (_ident(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)[0]
+    return (_compare(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)[0]
             and _ranges_leq(a, b, rank_factor))
 
 
@@ -240,7 +228,7 @@ def diamond_table(mats, tol: float = EQ_TOL,
     Row i forms the sandwich products (A_i B_j*) A_i for all j in one
     stacked matmul on B_j*, laid out as ``B_j.ct`` is, so that each is the
     per-pair product bit for bit, and A_i A_i* A_i once. It then decides
-    the pairs i != j in order by ``float_residual``'s rule, and only pairs
+    the pairs i != j in order by ``_compare``'s rule, and only pairs
     whose sandwich holds go on to the range inclusions. A block of the row
     holding a non-finite entry (an overflow) is decided by
     ``diamond_verdict``, which warns and raises there as the pair loop does;
@@ -271,11 +259,11 @@ def diamond_table(mats, tol: float = EQ_TOL,
                     table[i][j] = diamond_verdict(a, mats[j], tol, rank_factor)
                 continue
             for j in js:
-                # float_residual's order: |S|, |A A* A|, the bound, |S - A A* A|
+                # _compare's order: |S|, |A A* A|, the bound, |S - A A* A|
                 s_norm = float_norm(s[j - lo])
                 if aaa_norm is None:
                     aaa_norm = float_norm(aaa)
-                bound = tolerance_bound(tol, 1.0 + s_norm + aaa_norm)
+                bound = tolerance_bound(tol, s_norm, aaa_norm)
                 table[i][j] = (float_norm(d[j - lo]) <= bound
                                and _ranges_leq(a, mats[j], rank_factor))
     return table
@@ -285,7 +273,7 @@ def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Left-star order: A*A = A*B and col(A) <= col(B)."""
     _check_pair(a, b)
-    gram, ratio = _ident(a.ct @ a, a.ct @ b, tol)
+    gram, ratio = _compare(a.ct @ a, a.ct @ b, tol)
     incl = _range_leq(a, b, rank_factor)
     return OrderReport("left-star", gram and incl, "definition", {
         "gram": gram, "range_inclusion": incl, "margin": _max_margin([ratio]),
@@ -344,16 +332,6 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     })
 
 
-def _rank_above(m: Matrix, floor: float, rank_factor: float) -> int:
-    """Rank, counting on the float backend only singular values above
-    ``floor`` as well as above the spectral cutoff."""
-    if m.backend == EXACT:
-        return rank(m)
-    # not float_svd, as in rank: its values could move the rank decision
-    s = np.linalg.svd(m.to_ndarray(), compute_uv=False)
-    return spectral_rank(s, m.shape, rank_factor, floor)
-
-
 def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                      rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order via ranks: rank(B+ - A+) = rank((I - A+A) B+),
@@ -362,7 +340,7 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     On the float backend (I - A+A) B+ carries roundoff of order
     eps cond(A) |B+|, which the cutoff relative to its own largest singular
     value would read as rank, so both ranks count only singular values above
-    tol * (1 + |A+|_F + |B+|_F), the scale of the operands.
+    ``tolerance_bound(tol, |A+|_F, |B+|_F)``, the scale of the operands.
     """
     _check_pair(a, b)
     ad = moore_penrose(a, rank_factor)
@@ -370,9 +348,9 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     eye = Matrix.identity(a.cols, a.backend)
     floor = 0.0  # exact ranks take no floor
     if a.backend == FLOAT:
-        floor = tolerance_bound(tol, 1.0 + ad.frobenius() + bd.frobenius())
-    r_diff = _rank_above(bd - ad, floor, rank_factor)
-    r_proj = _rank_above((eye - ad @ a) @ bd, floor, rank_factor)
+        floor = tolerance_bound(tol, ad.frobenius(), bd.frobenius())
+    r_diff = _rank(bd - ad, rank_factor, floor)
+    r_proj = _rank((eye - ad @ a) @ bd, rank_factor, floor)
     incl = _range_leq(a.ct, b.ct, rank_factor)
     return OrderReport("diamond", r_diff == r_proj and incl, "rank", {
         "rank_dagger_diff": r_diff, "rank_complement_product": r_proj,

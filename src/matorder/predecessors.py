@@ -100,7 +100,7 @@ def _recover(a: Matrix, hs: HSForm, tol: float, rank_factor: float) -> tuple:
         raise ShapeError("matrix does not match the block form's size")
     m = _chain(hs.u.ct, a, hs.u)
     bottom = m.submatrix(r, n, 0, n)
-    if bottom.frobenius() > tolerance_bound(tol, 1.0 + m.frobenius()):
+    if bottom.frobenius() > tolerance_bound(tol, m.frobenius()):
         raise DomainError("matrix has weight outside the top block row")
     a11 = m.submatrix(0, r, 0, r)
     a12 = m.submatrix(0, r, r, n)
@@ -185,5 +185,5 @@ def dagger_isotone(b: Matrix, t: Matrix, tol: float = EQ_TOL,
                              moore_penrose(b, rank_factor), tol, rank_factor)
     si = hs.sigma_inv()
     crit = _chain(t, t.ct - Matrix.identity(hs.r, FLOAT), si, si, t)
-    criterion = crit.frobenius() <= tolerance_bound(tol, 1.0 + t.frobenius() ** 2)
+    criterion = crit.frobenius() <= tolerance_bound(tol, t.frobenius() ** 2)
     return direct, criterion

@@ -379,6 +379,18 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.parametrize("entry", ["1e-4301", "2.5E+4_301", "1e-1000000"])
+def test_huge_decimal_exponent_is_a_usage_error(tmp_path, capsys, entry):
+    # Fraction would compute 10**exponent before anything could refuse it
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "backend": "exact",
+                                "entries": [[[entry, "0"]]]}))
+    code, out, err = run(capsys, "pinv", str(path))
+    assert code == 2
+    assert out == ""
+    assert "decimal exponent" in err
+
+
 def _run_quietly(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderErro
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix_to_json, moore_penrose, rank, vstack)
-from matorder.matrix import _chain, float_norm
+from matorder.matrix import _chain, float_norm, tolerance_bound
 from matorder.scalars import GaussianRational, gaussian
 
 SMALL = st.integers(min_value=-3, max_value=3)
@@ -250,6 +251,28 @@ def test_is_zero_matrix_per_backend():
     assert is_zero_matrix(Matrix.zeros(2, 2, EXACT))
     assert not is_zero_matrix(Matrix.exact([[0, "1/1000000000000"]]))
     assert is_zero_matrix(Matrix.from_complex([[1e-12]]))
+
+
+def test_tolerance_bound_adds_the_norms_to_one_in_order():
+    # 1 + 1e16 rounds back to 1e16, and so does adding 1 again; a compensated
+    # sum (math.fsum, or sum() from Python 3.12) would carry the two ones
+    assert math.fsum([1.0, 1e16, 1.0]) == 1.0000000000000002e16
+    assert tolerance_bound(1.0, 1e16, 1.0) == 1.0 + 1e16 + 1.0 == 1e16
+    assert tolerance_bound(1e-9) == 1e-9
+    assert tolerance_bound(0.0, 3.0, 4.0) == 0.0
+    assert tolerance_bound(0.5, 1.0, 2.0) == 2.0
+
+
+@pytest.mark.parametrize("tol, norms", [
+    pytest.param(-1.0, (1.0,), id="negative"),
+    pytest.param(float("nan"), (1.0, 2.0), id="nan"),
+    pytest.param(1e-9, (1.7e308, 1.7e308), id="norms-overflow"),
+    pytest.param(1e300, (1e10,), id="product-overflows"),
+    pytest.param(0.0, (math.inf,), id="zero-times-infinity"),
+])
+def test_tolerance_bound_refuses_what_separates_nothing(tol, norms):
+    with pytest.raises(DomainError, match="tolerance bound"):
+        tolerance_bound(tol, *norms)
 
 
 def test_rref_known_matrix():
@@ -511,10 +534,40 @@ def test_json_round_trip_property(a):
     '{"rows": 0, "cols": false, "backend": "float", "entries": []}',
     pytest.param('{"rows": 1, "cols": 1, "backend": "float", "entries": [[[1%s, 0]]]}'
                  % ("0" * 5000), id="int-past-the-digit-limit"),
+    # Fraction would build 10**exponent: seconds of work at 1e-10000000
+    pytest.param('{"rows": 1, "cols": 1, "backend": "exact", '
+                 '"entries": [[["1e-4301", "0"]]]}', id="exponent-past-the-digit-limit"),
+    pytest.param('{"rows": 1, "cols": 1, "backend": "exact", '
+                 '"entries": [[["0", " -2.5E+4_301 "]]]}', id="signed-underscored-exponent"),
+    pytest.param('{"rows": 1, "cols": 1, "backend": "exact", '
+                 '"entries": [[["1e1000000", "0"]]]}', id="exponent-of-a-million"),
 ])
 def test_malformed_json_rejected(payload):
     with pytest.raises(MatOrderError):
         matrix_from_json(payload)
+
+
+def _exact_entry(re: str) -> str:
+    return json.dumps({"rows": 1, "cols": 1, "backend": "exact",
+                       "entries": [[[re, "0"]]]})
+
+
+def test_exponent_bound_with_the_digit_limit_unset():
+    # a limit of 0 means none to int(); Fraction would still build 10**exponent
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(MatOrderError, match="decimal exponent"):
+            matrix_from_json(_exact_entry(
+                "1e%d" % (sys.int_info.default_max_str_digits + 1)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("text", [
+    "1e-4300", " 1E+4_300 ", "-2.5e-4300\n", "3/4", "-0.125", "5e-3", "1_000e2"])
+def test_exact_entry_within_the_exponent_bound_parses_as_fraction(text):
+    assert matrix_from_json(_exact_entry(text)) == Matrix.exact([[Fraction(text)]])
 
 
 def test_to_float_and_ndarray_round_trip():

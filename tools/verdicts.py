@@ -22,8 +22,12 @@ DIR/inputs, runs each of its commands and the two fuzz runs as a
 ``python -m matorder.cli`` process in that directory, and writes each
 run's argv, raw stdout, raw stderr and exit code to DIR/cli/NN or
 DIR/fuzz-exact and DIR/fuzz-float. Float margins and error messages are
-part of that output, so ``diff -r`` on the directories written by two
-checkouts shows every byte a change moves in what a user sees.
+part of that output. It also writes DIR/margins: for every relation and
+alternative diamond route on every unit of the seed-1 exact-battery and
+float-battery pools, run in this process, the repr of the report's
+margin. So ``diff -r`` on the directories written by two checkouts shows
+every byte a change moves in what a user sees, and every library margin
+it moves.
 
 The pools come from perfbench/workloads.py, loaded without writing
 bytecode into perfbench/.
@@ -46,9 +50,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import matorder.cli  # noqa: E402
+from matorder import orders  # noqa: E402
+from matorder.matrix import matrix_from_dict  # noqa: E402
 
 SEEDS = {"exact-battery": range(1, 4), "float-battery": range(1, 11),
          "diamond-family": range(1, 4), "cli": range(1, 2)}
+MARGIN_POOLS = ("exact-battery", "float-battery")
 FUZZ = {"fuzz/exact": ["fuzz", "--trials", "200"],
         "fuzz/float": ["--backend", "float", "fuzz", "--trials", "100"]}
 
@@ -116,17 +123,46 @@ def run_cli(argv, cwd: Path, out: Path):
     (out / "exit").write_text("%d\n" % proc.returncode)
 
 
+def margin(name: str, a, b) -> str:
+    """The repr of the margin in the report of the relation or diamond
+    route ``name`` (a workload operation name) on (a, b)."""
+    if name.startswith("diamond/"):
+        fn = orders.DIAMOND_ROUTES[name.split("/", 1)[1]]
+    else:
+        fn = orders.RELATIONS[name]
+    try:
+        return repr(fn(a, b).witnesses.get("margin"))
+    except Exception as exc:  # a raising call is recorded, not fatal
+        return "raised %s" % type(exc).__name__
+
+
+def margin_lines(workloads, workdir: Path) -> list:
+    """'<key> <operation> <margin>' for every relation and route on every
+    unit of the seed-1 battery pools."""
+    lines = []
+    for name in MARGIN_POOLS:
+        for key, unit in pool(workloads.WORKLOADS[name], 1, workdir / name):
+            a, b = matrix_from_dict(unit["a"]), matrix_from_dict(unit["b"])
+            lines += ["%s %s %s\n" % (key, op, margin(op, a, b))
+                      for op in workloads.CALL_NAMES]
+    return lines
+
+
 def dump_stdout(directory: Path):
-    """Write the raw output of every cli command and fuzz run under
-    ``directory``, which must not exist yet."""
+    """Write the raw output of every cli command and fuzz run, and the
+    battery margins, under ``directory``, which must not exist yet."""
     directory.mkdir(parents=True)
     inputs = directory / "inputs"
-    [(_, unit)] = pool(load_workloads().WORKLOADS["cli"], 1, inputs)
+    workloads = load_workloads()
+    [(_, unit)] = pool(workloads.WORKLOADS["cli"], 1, inputs)
     for i, argv in enumerate(unit["commands"], 1):
         argv = [w[1:] if w.startswith("@") else w for w in argv]
         run_cli(argv, inputs, directory / "cli" / ("%02d" % i))
     for key, argv in FUZZ.items():
         run_cli(argv, inputs, directory / key.replace("/", "-"))
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = margin_lines(workloads, Path(tmp))
+    (directory / "margins").write_text("".join(lines))
 
 
 def dumps(entries: dict) -> str:
