@@ -69,7 +69,9 @@ def cmd_check(args) -> int:
         fn = DIAMOND_ROUTES[args.via]
     else:
         fn = RELATIONS[args.order]
-    report = fn(a, b, args.tol)
+    # check's space report also cross-checks five sampled inner inverses
+    extra = {"inner_samples": 5} if args.order == "space" else {}
+    report = fn(a, b, args.tol, **extra)
     _emit(report.to_dict())
     return 0 if report.verdict else 1
 

@@ -110,7 +110,7 @@ def check_implication_chains(cfg: RunConfig, rng: random.Random):
     tol = cfg.tol
     star = leq_star(a, b, tol, cfg.rank_factor).verdict
     minus = leq_minus(a, b, tol, cfg.rank_factor).verdict
-    space = leq_space(a, b, tol, cfg.rank_factor, inner_samples=0).verdict
+    space = leq_space(a, b, tol, cfg.rank_factor).verdict
     dia = leq_diamond(a, b, tol, cfg.rank_factor).verdict
     lstar = leq_left_star(a, b, tol, cfg.rank_factor).verdict
     rstar = leq_right_star(a, b, tol, cfg.rank_factor).verdict
@@ -178,8 +178,7 @@ def check_projector_transfer(cfg: RunConfig, rng: random.Random):
     # row-space projectors restores an iff
     qa = projector_rowspace(a, cfg.rank_factor)
     qb = projector_rowspace(b, cfg.rank_factor)
-    row_side = leq_space(qa, qb, cfg.tol, cfg.rank_factor,
-                         inner_samples=0).verdict
+    row_side = leq_space(qa, qb, cfg.tol, cfg.rank_factor).verdict
     if direct != (projected and row_side):
         return _ce(kind, a, b, relation="space-two-sided")
     return None

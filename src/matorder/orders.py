@@ -3,9 +3,9 @@
 Each predicate takes two equally shaped matrices on the same backend and
 returns an OrderReport: the boolean verdict plus witness data (ranks,
 identity residuals, cross-checks). Verdicts are decided by equational and
-rank characterizations, never by sampling; sampled inner inverses only
-cross-check the universally quantified formulations. Every float
-threshold comes from ``matrix``: identities are decided by its
+rank characterizations, never by sampling; sampled inner inverses, drawn
+only on request, cross-check the universally quantified formulations.
+Every float threshold comes from ``matrix``: identities are decided by its
 ``_compare``, whose residual over bound is the report's margin, and ranks
 by its rank rule, which the rank route floors at ``tolerance_bound``.
 
@@ -129,14 +129,17 @@ def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 
 def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
-              rank_factor: float = RANK_FACTOR, inner_samples: int = 5,
+              rank_factor: float = RANK_FACTOR, inner_samples: int = 0,
               rng: Optional[random.Random] = None) -> OrderReport:
     """Space pre-order: col(A) <= col(B) and col(A*) <= col(B*).
 
     The verdict comes from the two range inclusions. The equivalent
     formulation A = B G A = A G B over inner inverses G of B is verified
-    against the pseudoinverse and ``inner_samples`` sampled G and recorded
-    in the witnesses.
+    against the pseudoinverse and recorded in the witnesses. Sampled G
+    cross-check it only when ``inner_samples > 0``: that many are drawn
+    from ``rng`` (default ``random.Random(0)``) and
+    ``inner_inverse_identities`` records whether all passed; otherwise no
+    sample is drawn, ``rng`` is left untouched and that witness is None.
     """
     _check_pair(a, b)
     col_ok = _range_leq(a, b, rank_factor)
@@ -189,7 +192,7 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                 rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order: the space pre-order plus A B* A = A A* A."""
     _check_pair(a, b)
-    space = leq_space(a, b, tol, rank_factor, inner_samples=0)
+    space = leq_space(a, b, tol, rank_factor)
     sandwich, ratio = _compare(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)
     return OrderReport("diamond", space.verdict and sandwich, "definition", {
         "space": space.verdict, "sandwich": sandwich,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matorder import MatOrderError, Matrix, matrix_to_json
+from matorder import EQ_TOL, MatOrderError, Matrix, leq_space, matrix_to_json
 from matorder.cli import _emit, main
 from matorder.orders import DIAMOND_ROUTES, RELATIONS
 
@@ -51,6 +51,22 @@ def test_check_space_on_empty_columns(files, capsys):
     code, out, _ = run(capsys, "check", "--order", "space", a, a)
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+@pytest.mark.parametrize("pair", [
+    (A, B),
+    (Matrix.from_complex([[1, 2j, 0], [0, 0, 0]]),
+     Matrix.from_complex([[1, 2j, 0], [0, 0.5, 3]])),
+], ids=["exact", "float"])
+def test_check_space_reports_five_inner_samples(files, capsys, pair):
+    # the library samples no inner inverse by default; check asks for five
+    a, b = pair
+    code, out, _ = run(capsys, "check", "--order", "space",
+                       files("a.json", a), files("b.json", b))
+    want = leq_space(a, b, EQ_TOL, inner_samples=5).to_dict()
+    assert code == 0
+    assert out == json.dumps(want, indent=2) + "\n"
+    assert '"inner_inverse_identities": true' in out
 
 
 def test_check_false_pair_exits_one(files, capsys):

@@ -12,6 +12,7 @@ from matorder import (DIAMOND_ROUTES, EXACT, FLOAT, RELATIONS, BackendError,
                       leq_left_star, leq_minus, leq_right_star, leq_space,
                       leq_star, matrices_equal, moore_penrose,
                       projector_transfer, right_star_equivalents)
+from matorder import orders
 from matorder.orders import diamond_verdict
 
 # Nilpotent below an invertible: diamond holds, minus does not.
@@ -281,10 +282,44 @@ def test_pair_validation_errors():
 def test_space_order_on_empty_pairs(backend, shape):
     # the sampled inner-inverse parameters of a 3x0 pair are 0x3
     a = Matrix.zeros(*shape, backend)
-    rep = leq_space(a, a)
+    rep = leq_space(a, a, inner_samples=5)
     assert rep.verdict and rep.witnesses["inner_inverse_identities"] is True
+    assert leq_space(a, a).witnesses["inner_inverse_identities"] is None
     assert projector_transfer(a, a, "space") == (True, True)
     assert build_poset([("x", a), ("y", a)], "space").nodes == (("x", "y"),)
+
+
+def test_space_verdict_callers_draw_no_sample(monkeypatch):
+    # the sampled inner inverses only cross-check the range inclusions, so
+    # a caller that reads the verdict alone must never draw one
+    from matorder.sampling import exact_pair, float_pair
+    rng = random.Random(23)
+    pairs = [(A1, B1), (B1, A1), (A4, B4)]
+    pairs += [exact_pair(rng, 3, 4)[1:] for _ in range(4)]
+    pairs += [(a.to_float(), b.to_float()) for a, b in pairs[:3]]
+    pairs += [float_pair(rng, 6)[1:] for _ in range(4)]
+    audited = [leq_space(a, b, inner_samples=5).verdict for a, b in pairs]
+    assert True in audited and False in audited
+    assert {a.backend for a, _ in pairs} == {EXACT, FLOAT}
+
+    def no_draw(*args):
+        raise AssertionError("sampled an inner-inverse parameter")
+
+    monkeypatch.setattr(orders, "_random_param", no_draw)
+    for (a, b), want in zip(pairs, audited):
+        rep = leq_space(a, b)
+        assert rep.verdict is want
+        assert rep.witnesses["inner_inverse_identities"] is None
+        assert RELATIONS["space"](a, b).verdict is want
+        graph = build_poset([("a", a), ("b", b)], "space")
+        ia, ib = ([i for i, node in enumerate(graph.nodes) if label in node][0]
+                  for label in "ab")
+        assert (ia == ib or (ia, ib) in graph.edges) is want
+        assert projector_transfer(a, b, "space")[0] is want
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert leq_space(a, b, rng=rng).verdict is want
+        assert rng.getstate() == state
 
 
 BAD_TOLS = [pytest.param(-1.0, id="negative"), pytest.param(float("nan"), id="nan")]
