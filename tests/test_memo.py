@@ -17,10 +17,11 @@ from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
                       build_poset, build_predecessor, column_space,
                       dagger_isotone, diamond_canonical_pair,
                       diamond_predecessor, exact_rref, hartwig_spindelbock,
-                      hstack, matrices_equal, matrix, moore_penrose, pinv,
-                      random_idempotent, rank, reverse_order_law, svd, vstack)
+                      hstack, matrices_equal, matrix, moore_penrose, orders,
+                      pinv, random_idempotent, rank, reverse_order_law,
+                      subspace_leq, subspaces, svd, vstack)
 from matorder.scalars import GaussianRational
-from matorder.sampling import random_base_matrix
+from matorder.sampling import exact_pair, random_base_matrix
 
 ROUTES = list(RELATIONS.items()) + [("diamond/" + k, f)
                                     for k, f in DIAMOND_ROUTES.items()]
@@ -199,6 +200,59 @@ def test_one_elimination_per_matrix(monkeypatch):
     re, im, _, kept = a._memo["gauss_jordan"]
     assert kept == pivots == (0, 1)
     assert not re.flags.writeable and not im.flags.writeable
+
+
+def _record_eliminations(monkeypatch) -> list:
+    eliminated = []
+    real = matrix._gauss_jordan
+
+    def counted(m):
+        eliminated.append(m)
+        return real(m)
+
+    monkeypatch.setattr(matrix, "_gauss_jordan", counted)
+    return eliminated
+
+
+def test_exact_inclusion_eliminates_once_per_basis_and_never_ranks(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an exact inclusion asked for a rank")
+
+    eliminated = _record_eliminations(monkeypatch)
+    monkeypatch.setattr(subspaces, "rank", refused)
+    monkeypatch.setattr(matrix, "_rank", refused)
+    t = column_space(Matrix.exact([[1, 0], [(0, 1), 1], [2, "1/2"]]))
+    inside = column_space(Matrix.exact([[1], [(1, 1)], ["5/2"]]))
+    outside = column_space(Matrix.exact([[0], [0], [1]]))
+    again = column_space(_fresh(inside.basis))
+    eliminated.clear()
+    assert subspace_leq(inside, t)
+    assert eliminated == [t.basis.ct]
+    assert not subspace_leq(outside, t)
+    assert subspace_leq(again, t)
+    assert len(eliminated) == 1
+
+
+def test_exact_pair_calls_never_eliminate_a_stacked_basis(monkeypatch):
+    seed = next(s for s in range(100)
+                if exact_pair(random.Random(s), 4, 3)[0] == "star")
+    _, a, b = exact_pair(random.Random(seed), 4, 3)
+    eliminated = _record_eliminations(monkeypatch)
+    compared = []
+    for name in ("subspace_leq", "subspace_intersection_dim"):
+        real = getattr(orders, name)
+
+        def recorded(s, t, *args, real=real):
+            compared.append((s.basis, t.basis))
+            return real(s, t, *args)
+
+        monkeypatch.setattr(orders, name, recorded)
+    for name, fn in ROUTES:
+        if name != "diamond/definition":
+            fn(a, b)
+    stacked = [hstack(x, y) for s, t in compared for x, y in ((s, t), (t, s))]
+    assert len(compared) >= 9
+    assert not [m for m in eliminated for x in stacked if m == x]
 
 
 def test_one_svd_per_float_matrix(monkeypatch):

@@ -1,11 +1,15 @@
 """Column spaces, inclusions, intersections, and the range-sum identity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matorder import (EXACT, FLOAT, BackendError, Matrix, ShapeError,
-                      column_space, matrices_equal, moore_penrose,
-                      range_sum_check, rank, subspace_intersection_dim,
-                      subspace_leq)
+                      SubspaceBasis, column_space, hstack, matrices_equal,
+                      moore_penrose, range_sum_check, rank,
+                      subspace_intersection_dim, subspace_leq)
+
+GAUSSIAN = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
 
 def line(*coords):
@@ -37,6 +41,59 @@ def test_subspace_leq_cases():
     zero = column_space(Matrix.zeros(2, 2, EXACT))
     assert subspace_leq(zero, line(1, 0))
     assert not subspace_leq(line(1, 0), zero)
+
+
+def test_exact_inclusion_reads_the_span_of_a_dependent_basis():
+    # span{e1, e1} is the line of e1, whatever its column count says
+    e1e1 = SubspaceBasis(2, Matrix.exact([[1, 1], [0, 0]]))
+    assert not subspace_leq(line(0, 1), e1e1)
+    assert subspace_leq(line(1, 0), e1e1)
+    assert subspace_leq(e1e1, line(1, 0))
+
+
+@st.composite
+def gaussian_matrices(draw, m: int):
+    """An m x n Gaussian-integer matrix, n in 0..4: random entries, a
+    product of rank at most r, zero, or the identity."""
+    kind = draw(st.sampled_from(["random", "low_rank", "zero", "identity"]))
+    if kind == "identity":
+        return Matrix.identity(m)
+    n = draw(st.integers(0, 4))
+    if kind == "zero":
+        return Matrix.zeros(m, n)
+
+    def grid(rows, cols):
+        return Matrix.exact([draw(st.lists(GAUSSIAN, min_size=cols, max_size=cols))
+                             for _ in range(rows)])
+
+    if kind == "random":
+        return grid(m, n)
+    r = draw(st.integers(1, 3))
+    return grid(m, r) @ grid(r, n)
+
+
+@st.composite
+def exact_subspace_pairs(draw):
+    """Column spaces (S, T) in C^m, m in 1..5; S is col(T·Y) half the time,
+    for a Y of any kind above, rank-deficient ones included."""
+    m = draw(st.integers(1, 5))
+    t = draw(gaussian_matrices(m))
+    if draw(st.booleans()):
+        s = t @ draw(gaussian_matrices(t.cols)) if t.cols else Matrix.zeros(m, 2)
+    else:
+        s = draw(gaussian_matrices(m))
+    return column_space(s), column_space(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_subspace_pairs())
+def test_exact_inclusion_and_intersection_match_the_stacked_rank(pair):
+    s, t = pair
+    assert subspace_leq(s, t) == (rank(hstack(t.basis, s.basis)) == t.dim)
+    assert subspace_leq(t, s) == (rank(hstack(s.basis, t.basis)) == s.dim)
+    stacked = s.dim + t.dim - rank(hstack(s.basis, t.basis))
+    assert subspace_intersection_dim(s, t) == stacked
+    assert subspace_intersection_dim(t, s) == stacked
 
 
 def test_subspace_errors():
