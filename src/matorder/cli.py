@@ -3,29 +3,26 @@
 Matrices travel as JSON files (see matrix_to_dict for the wire format).
 Exit codes: 0 for success (for ``check``: the relation holds), 1 for a
 false verdict or failed fuzz property, 2 for any usage or input error.
+Each command imports the modules it runs, so that a process loads (and,
+without cached bytecode, compiles) no other part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .decomp import hartwig_spindelbock, svd
 from .errors import MatOrderError
-from .fuzz import RunConfig, run_all
 from .matrix import (EQ_TOL, EXACT, FLOAT, Matrix, matrix_from_json,
                      matrix_to_dict)
 from .orders import DIAMOND_ROUTES, RELATIONS
 from .pinv import moore_penrose
-from .poset import build_poset, to_dot
-from .predecessors import (build_predecessor, dagger_isotone,
-                           diamond_predecessor, is_bidagger, random_idempotent,
-                           reverse_order_law)
 
 
 def _load(path: str) -> Matrix:
@@ -72,7 +69,12 @@ def cmd_check(args) -> int:
     # check's space report also cross-checks five sampled inner inverses
     extra = {"inner_samples": 5} if args.order == "space" else {}
     report = fn(a, b, args.tol, **extra)
-    _emit(report.to_dict())
+    out = report.to_dict()
+    # under --tol 0 a residual of pure roundoff has an infinite margin,
+    # which JSON cannot spell; any other non-finite value is still refused
+    if out["witnesses"].get("margin") == math.inf:
+        out["witnesses"] = dict(out["witnesses"], margin=None)
+    _emit(out)
     return 0 if report.verdict else 1
 
 
@@ -83,6 +85,7 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomp import hartwig_spindelbock, svd
     (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
     if args.kind == "svd":
         form = svd(b)
@@ -97,6 +100,8 @@ def cmd_decompose(args) -> int:
 
 
 def _pick_idempotent(args, b: Matrix) -> Matrix:
+    from .decomp import hartwig_spindelbock
+    from .predecessors import random_idempotent
     if args.t is not None:
         (t,) = _resolve_backend(args, [_load(args.t)], need_float=True)
         return t
@@ -107,6 +112,7 @@ def _pick_idempotent(args, b: Matrix) -> Matrix:
 
 
 def cmd_predecessor(args) -> int:
+    from .predecessors import build_predecessor
     (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
     t = _pick_idempotent(args, b)
     bundle = build_predecessor(b, t, args.tol)
@@ -117,6 +123,8 @@ def cmd_predecessor(args) -> int:
 
 
 def cmd_criteria(args) -> int:
+    from .predecessors import (dagger_isotone, diamond_predecessor,
+                               is_bidagger, reverse_order_law)
     (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
     t = _pick_idempotent(args, b)
     a = diamond_predecessor(b, t, args.tol)
@@ -133,6 +141,7 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz import RunConfig, run_all
     cfg = RunConfig(backend=args.backend or EXACT, tol=args.tol,
                     seed=args.seed, trials=args.trials,
                     dim_min=args.dim_min, dim_max=args.dim_max)
@@ -142,6 +151,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .poset import build_poset, to_dot
     root = Path(args.directory)
     if not root.is_dir():
         raise MatOrderError("%s is not a directory" % args.directory)

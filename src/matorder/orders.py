@@ -45,7 +45,6 @@ from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
                      _compare, _rank, float_norm, matrices_equal, rank,
                      tolerance_bound)
 from .pinv import moore_penrose, projector_range
-from .sampling import gauss_array
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
@@ -180,6 +179,8 @@ def _random_param(rows: int, cols: int, backend: str, rng: random.Random) -> Mat
     """rows x cols small integers (exact) or standard normal draws (float),
     drawn in row-major order, built with the declared shape so that an
     empty side stays empty."""
+    from .sampling import gauss_array
+
     if backend == EXACT:
         re = np.array([rng.randint(-2, 2) for _ in range(rows * cols)],
                       dtype=object).reshape(rows, cols)

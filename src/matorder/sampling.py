@@ -14,7 +14,6 @@ import random
 
 import numpy as np
 
-from .decomp import HSForm
 from .matrix import EXACT, FLOAT, Matrix
 from .pinv import moore_penrose
 
@@ -138,6 +137,8 @@ def random_base_matrix(n: int, r: int, rng: random.Random) -> Matrix:
     values drawn log-uniformly, and [k l] the leading rows of a second
     random unitary, so the block-form invariant k k* + l l* = I holds.
     """
+    from .decomp import HSForm
+
     u = random_unitary(n, rng)
     if r == 0:
         return Matrix.zeros(n, n, FLOAT)

@@ -329,15 +329,29 @@ def test_zero_tolerance_check_on_equal_float_operands(files, capsys):
     assert payload["verdict"] is True and payload["witnesses"]["margin"] == 0.0
 
 
-def test_zero_tolerance_check_with_infinite_margin_is_a_usage_error(files, capsys):
-    # unequal sides under a zero bound have an infinite margin, which the
-    # CLI does not print
+def test_zero_tolerance_false_verdict_prints_null_margin(files, capsys):
+    # unequal sides under a zero bound have an infinite margin, which JSON
+    # spells as null
     a = files("a.json", Matrix.from_complex([[1, 0], [0, 2]]))
     b = files("b.json", Matrix.from_complex([[1, 0], [0, 3]]))
     code, out, err = run(capsys, "--tol", "0", "check", "--order", "star", a, b)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    assert code == 1 and err == ""
+    payload = _strict_json(out)
+    assert payload["verdict"] is False and payload["witnesses"]["margin"] is None
+
+
+@pytest.mark.parametrize("order, margin", [
+    ("space", None), ("diamond", None), ("star", 0.0)])
+def test_zero_tolerance_prints_true_verdict(files, capsys, order, margin):
+    # B B+ A = A carries roundoff, infinite over a zero bound, while the
+    # range inclusions that decide space and diamond hold
+    b_mat = Matrix.from_complex([[1, 2j], [0.3, 4.5]])
+    assert leq_space(b_mat, b_mat, 0.0).witnesses["margin"] == float("inf")
+    b = files("b.json", b_mat)
+    code, out, err = run(capsys, "--tol", "0", "check", "--order", order, b, b)
+    assert code == 0 and err == ""
+    payload = _strict_json(out)
+    assert payload["verdict"] is True and payload["witnesses"]["margin"] == margin
 
 
 def test_zero_tolerance_poset(tmp_path, capsys):
