@@ -3,7 +3,8 @@
 Each property draws seeded random inputs and checks an implication or an
 agreement between independent routes to the same verdict. Results carry
 pass/fail counts and the first counterexample inline (inputs included),
-and a fixed seed reproduces a run exactly.
+and a fixed seed reproduces a run exactly. Relations and diamond routes
+are looked up by name in ``orders.RELATIONS`` and ``orders.DIAMOND_ROUTES``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from .decomp import diamond_canonical_pair
 from .errors import DomainError, MatOrderError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
                      matrices_equal, matrix_to_dict, rank)
-from .orders import (diamond_via_dagger_minus, diamond_via_range_split,
-                     diamond_via_rank, leq_diamond, leq_left_star, leq_minus,
-                     leq_right_star, leq_space, leq_star,
-                     left_star_equivalents, projector_transfer,
-                     right_star_equivalents)
+from .orders import (DIAMOND_ROUTES, RELATIONS, left_star_equivalents,
+                     projector_transfer, right_star_equivalents)
 from .pinv import (inner_inverse, moore_penrose, penrose_residuals,
                    projector_rowspace)
 from .predecessors import (build_predecessor, dagger_isotone,
@@ -105,24 +103,19 @@ def _ce(kind, a, b, **extra) -> dict:
 # -- properties ----------------------------------------------------------
 
 
+# (lower, upper): a pair in the lower relation is in the upper one
+_IMPLICATIONS = (("star", "minus"), ("minus", "space"), ("star", "diamond"),
+                 ("diamond", "space"), ("star", "left-star"),
+                 ("star", "right-star"), ("left-star", "diamond"),
+                 ("right-star", "diamond"))
+
+
 def check_implication_chains(cfg: RunConfig, rng: random.Random):
     kind, a, b = _pair_for(cfg, rng)
-    tol = cfg.tol
-    star = leq_star(a, b, tol, cfg.rank_factor).verdict
-    minus = leq_minus(a, b, tol, cfg.rank_factor).verdict
-    space = leq_space(a, b, tol, cfg.rank_factor).verdict
-    dia = leq_diamond(a, b, tol, cfg.rank_factor).verdict
-    lstar = leq_left_star(a, b, tol, cfg.rank_factor).verdict
-    rstar = leq_right_star(a, b, tol, cfg.rank_factor).verdict
-    links = (("star", "minus", star, minus),
-             ("minus", "space", minus, space),
-             ("star", "diamond", star, dia),
-             ("diamond", "space", dia, space),
-             ("star", "left-star", star, lstar),
-             ("star", "right-star", star, rstar),
-             ("left-star", "diamond", lstar, dia),
-             ("right-star", "diamond", rstar, dia))
-    broken = ["%s=>%s" % (lo, hi) for lo, hi, p, q in links if p and not q]
+    verdicts = {name: relation(a, b, cfg.tol, cfg.rank_factor).verdict
+                for name, relation in RELATIONS.items()}
+    broken = ["%s=>%s" % (lo, hi) for lo, hi in _IMPLICATIONS
+              if verdicts[lo] and not verdicts[hi]]
     if broken:
         return _ce(kind, a, b, broken_links=broken)
     return None
@@ -130,12 +123,8 @@ def check_implication_chains(cfg: RunConfig, rng: random.Random):
 
 def check_diamond_routes(cfg: RunConfig, rng: random.Random):
     kind, a, b = _pair_for(cfg, rng)
-    reports = {
-        "definition": leq_diamond(a, b, cfg.tol, cfg.rank_factor),
-        "dagger-minus": diamond_via_dagger_minus(a, b, cfg.tol, cfg.rank_factor),
-        "range-split": diamond_via_range_split(a, b, cfg.tol, cfg.rank_factor),
-        "rank": diamond_via_rank(a, b, cfg.tol, cfg.rank_factor),
-    }
+    reports = {name: route(a, b, cfg.tol, cfg.rank_factor)
+               for name, route in DIAMOND_ROUTES.items()}
     verdicts = {name: r.verdict for name, r in reports.items()}
     split_witness = reports["range-split"].witnesses["direct_sum"]
     if len(set(verdicts.values())) != 1 or split_witness != verdicts["range-split"]:
@@ -157,7 +146,8 @@ check_right_star_four_way = partial(_check_four_way, right_star_equivalents)
 
 def check_space_crosschecks(cfg: RunConfig, rng: random.Random):
     kind, a, b = _pair_for(cfg, rng)
-    rpt = leq_space(a, b, cfg.tol, cfg.rank_factor, inner_samples=5, rng=rng)
+    rpt = RELATIONS["space"](a, b, cfg.tol, cfg.rank_factor, inner_samples=5,
+                             rng=rng)
     w = rpt.witnesses
     if not w["projector_agrees"]:
         return _ce(kind, a, b, witnesses=w)
@@ -178,7 +168,7 @@ def check_projector_transfer(cfg: RunConfig, rng: random.Random):
     # row-space projectors restores an iff
     qa = projector_rowspace(a, cfg.rank_factor)
     qb = projector_rowspace(b, cfg.rank_factor)
-    row_side = leq_space(qa, qb, cfg.tol, cfg.rank_factor).verdict
+    row_side = RELATIONS["space"](qa, qb, cfg.tol, cfg.rank_factor).verdict
     if direct != (projected and row_side):
         return _ce(kind, a, b, relation="space-two-sided")
     return None
@@ -219,11 +209,10 @@ def check_pinv_properties(cfg: RunConfig, rng: random.Random):
 def check_partial_isometry_collapse(cfg: RunConfig, rng: random.Random):
     m, n = _dims(cfg, rng)
     kind, a, b = partial_isometry_pair(rng, m, n)
-    star = leq_star(a, b, cfg.tol, cfg.rank_factor).verdict
-    minus = leq_minus(a, b, cfg.tol, cfg.rank_factor).verdict
-    dia = leq_diamond(a, b, cfg.tol, cfg.rank_factor).verdict
-    if not star == minus == dia:
-        return _ce(kind, a, b, star=star, minus=minus, diamond=dia)
+    verdicts = {name: RELATIONS[name](a, b, cfg.tol, cfg.rank_factor).verdict
+                for name in ("star", "minus", "diamond")}
+    if len(set(verdicts.values())) != 1:
+        return _ce(kind, a, b, **verdicts)
     return None
 
 
@@ -239,7 +228,7 @@ def check_predecessor_roundtrip(cfg: RunConfig, rng: random.Random):
     b, t = _constructor_instance(cfg, rng)
     bundle = build_predecessor(b, t, cfg.tol, cfg.rank_factor)
     a = bundle.predecessor
-    if not leq_diamond(a, b, cfg.tol, cfg.rank_factor).verdict:
+    if not RELATIONS["diamond"](a, b, cfg.tol, cfg.rank_factor).verdict:
         return _ce("constructed", a, b, reason="not below in diamond order")
     direct = moore_penrose(a, cfg.rank_factor)
     if not matrices_equal(bundle.predecessor_pinv, direct, cfg.tol):
@@ -291,22 +280,21 @@ def check_canonical_pair(cfg: RunConfig, rng: random.Random):
     return None
 
 
-EXACT_PROPERTIES = (
+_SHARED_PROPERTIES = (
     ("implication-chains", check_implication_chains),
     ("diamond-routes-agree", check_diamond_routes),
     ("left-star-four-way", check_left_star_four_way),
     ("right-star-four-way", check_right_star_four_way),
+)
+
+EXACT_PROPERTIES = _SHARED_PROPERTIES + (
     ("space-crosschecks", check_space_crosschecks),
     ("projector-transfer", check_projector_transfer),
     ("backend-rank-agreement", check_backend_agreement),
     ("pinv-properties", check_pinv_properties),
 )
 
-FLOAT_PROPERTIES = (
-    ("implication-chains", check_implication_chains),
-    ("diamond-routes-agree", check_diamond_routes),
-    ("left-star-four-way", check_left_star_four_way),
-    ("right-star-four-way", check_right_star_four_way),
+FLOAT_PROPERTIES = _SHARED_PROPERTIES + (
     ("partial-isometry-collapse", check_partial_isometry_collapse),
     ("predecessor-roundtrip", check_predecessor_roundtrip),
     ("constructor-criteria-agree", check_constructor_criteria),

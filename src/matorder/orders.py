@@ -30,6 +30,8 @@ returns that boolean without building the report. ``diamond_table``
 returns the verdicts of every ordered pair of a float family, the same
 as ``diamond_verdict`` on each, with one stacked product per row for the
 sandwich identities; it holds one row, O(k·m·n) entries, at a time.
+``verdict_table`` returns that table for any relation in ``RELATIONS``,
+through those two for diamond; the cover diagram reads it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
                      _compare, _rank, float_norm, matrices_equal, rank,
                      tolerance_bound)
-from .pinv import moore_penrose, projector_range
+from .pinv import _inner_inverse, moore_penrose, projector_range
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
@@ -156,11 +158,9 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
         if rng is None:
             rng = random.Random(0)
         sampled_ok = True
-        qb = bd @ b
-        pb = b @ bd
         for _ in range(inner_samples):
             w = _random_param(a.cols, a.rows, a.backend, rng)
-            g = bd + w - qb @ w @ pb
+            g = _inner_inverse(b, bd, w)
             s1, r1 = _compare(b @ g @ a, a, tol)
             s2, r2 = _compare(a @ g @ b, a, tol)
             ratios.extend([r1, r2])
@@ -436,6 +436,26 @@ DIAMOND_ROUTES = {
     "range-split": diamond_via_range_split,
     "rank": diamond_via_rank,
 }
+
+
+def verdict_table(mats, relation: str, tol: float = EQ_TOL,
+                  rank_factor: float = RANK_FACTOR) -> list:
+    """The table ``leq[i][j]`` of equally shaped matrices on one backend:
+    True for i == j, else the verdict of ``RELATIONS[relation]`` on (mats[i],
+    mats[j]). Diamond builds no report: ``diamond_table`` decides a float
+    family and ``diamond_verdict`` an exact one."""
+    if relation != "diamond":
+        pred = RELATIONS[relation]
+
+        def holds(x, y, tol, rank_factor):
+            return pred(x, y, tol, rank_factor).verdict
+    elif mats and mats[0].backend == FLOAT:
+        return diamond_table(mats, tol, rank_factor)
+    else:
+        holds = diamond_verdict
+    k = len(mats)
+    return [[i == j or holds(mats[i], mats[j], tol, rank_factor)
+             for j in range(k)] for i in range(k)]
 
 
 def projector_transfer(a: Matrix, b: Matrix, relation: str,

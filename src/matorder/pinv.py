@@ -87,8 +87,13 @@ def inner_inverse(a: Matrix, w: Matrix) -> Matrix:
     """
     if w.shape != (a.cols, a.rows):
         raise ShapeError("parameter must be %sx%s" % (a.cols, a.rows))
-    ad = moore_penrose(a)
-    return ad + w - ad @ a @ w @ a @ ad
+    return _inner_inverse(a, moore_penrose(a), w)
+
+
+def _inner_inverse(a: Matrix, ad: Matrix, w: Matrix) -> Matrix:
+    """``inner_inverse(a, w)`` for a given ``ad`` = a+, which a caller may
+    hold at its own rank factor."""
+    return ad + w - (ad @ a) @ w @ (a @ ad)
 
 
 def projector_range(a: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:

@@ -6,11 +6,7 @@ space pre-order and for duplicate inputs), and keeps only covering edges,
 i.e. the transitive reduction of the strict order between nodes. The DOT
 rendering lists every node and one edge per cover.
 
-Every relation is decided pair by pair with its own predicate, except the
-diamond order on a float family: ``orders.diamond_table`` decides that
-table row by row, with each row's sandwich products in one stacked numpy
-product, and holds one row (about 3·k·m·n entries for k m x n matrices)
-at a time.
+The relation's verdicts on all pairs come from ``orders.verdict_table``.
 """
 
 from __future__ import annotations
@@ -18,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ShapeError
-from .matrix import EQ_TOL, FLOAT, RANK_FACTOR, Matrix
-from .orders import RELATIONS, diamond_table, diamond_verdict
+from .matrix import EQ_TOL, RANK_FACTOR, Matrix
+from .orders import RELATIONS, verdict_table
 
 
 @dataclass(frozen=True)
@@ -57,19 +53,7 @@ def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
         if m.backend != mats[0].backend:
             raise DomainError("poset needs a single backend")
 
-    pred = RELATIONS[relation]
-
-    def holds(x, y) -> bool:
-        # only the verdict is read, so diamond skips building its report
-        if relation == "diamond":
-            return diamond_verdict(x, y, tol, rank_factor)
-        return pred(x, y, tol, rank_factor).verdict
-
-    if relation == "diamond" and mats[0].backend == FLOAT:
-        leq = diamond_table(mats, tol, rank_factor)
-    else:
-        leq = [[i == j or holds(mats[i], mats[j]) for j in range(n)]
-               for i in range(n)]
+    leq = verdict_table(mats, relation, tol, rank_factor)
 
     # merge mutually comparable inputs into one node
     assigned = [-1] * n
