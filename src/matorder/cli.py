@@ -66,8 +66,10 @@ def cmd_check(args) -> int:
         fn = DIAMOND_ROUTES[args.via]
     else:
         fn = RELATIONS[args.order]
-    # check's space report also cross-checks five sampled inner inverses
-    extra = {"inner_samples": 5} if args.order == "space" else {}
+    # check's space report also cross-checks five inner inverses, sampled
+    # from --seed
+    extra = ({"inner_samples": 5, "rng": random.Random(args.seed)}
+             if args.order == "space" else {})
     report = fn(a, b, args.tol, **extra)
     out = report.to_dict()
     # under --tol 0 a residual of pure roundoff has an infinite margin,

@@ -12,8 +12,8 @@ when read, for display and indexing. The float backend stores finite
 complex128 entries. Every float threshold in the package is
 ``tolerance_bound`` of the operands' Frobenius norms: comparisons go
 through ``_compare`` (``matrices_equal`` is its verdict), and rank counts
-singular values above a spectral cutoff, or above such a bound where a
-caller floors it (``_rank``). Each arithmetic kernel is one numpy
+singular values above a spectral cutoff, or above ``rank_floor``, such a
+bound held at least at that cutoff, where a caller floors it (``_rank``). Each arithmetic kernel is one numpy
 expression on the stored arrays.
 """
 
@@ -23,8 +23,6 @@ import functools
 import json
 import math
 import operator
-import re as regex  # re names real parts here
-import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,6 +64,8 @@ def _parts(value) -> tuple:
         raise MatOrderError("cannot place %r in an exact matrix" % (value,))
     try:
         return as_rational(re), as_rational(im)
+    except MatOrderError:
+        raise
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MatOrderError("cannot place %r in an exact matrix" % (value,)) from exc
 
@@ -112,11 +112,12 @@ def _over_common_denominator(mats) -> tuple:
 
 
 def _coerce_float(value) -> complex:
-    if isinstance(value, GaussianRational):
+    if not isinstance(value, (GaussianRational, int, float, complex)):
+        raise MatOrderError("cannot place %r in a float matrix" % (value,))
+    try:
         return complex(value)
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    raise MatOrderError("cannot place %r in a float matrix" % (value,))
+    except OverflowError as exc:
+        raise DomainError("float entry does not fit a double") from exc
 
 
 class Matrix:
@@ -141,6 +142,8 @@ class Matrix:
         dtype = _dtype(rows, cols, backend)
         try:
             arr = np.array(entries, dtype=dtype)
+        except OverflowError as exc:  # an int beyond the float range
+            raise DomainError("float entry does not fit a double") from exc
         except (TypeError, ValueError) as exc:
             raise ShapeError("entry grid does not match declared shape") from exc
         if rows == 0 and arr.shape == (0,):
@@ -671,11 +674,30 @@ def float_svd(a: Matrix, rank_factor: float = RANK_FACTOR) -> tuple:
 def spectral_rank(s, shape: tuple, rank_factor: float, floor: float = 0.0) -> int:
     """The float rank rule: how many singular values s (descending) of a
     matrix of this shape exceed the larger of ``floor`` and the spectral
-    cutoff, the longer side times s[0] times rank_factor machine epsilons."""
+    cutoff, the longer side times s[0] times rank_factor machine epsilons.
+
+    A negative rank_factor would count roundoff as rank, and a NaN or
+    infinite one leaves no cutoff, so anything outside [0, inf) is a
+    DomainError, as ``tolerance_bound`` treats tol.
+    """
+    if not 0.0 <= rank_factor < math.inf:
+        raise DomainError("rank_factor %r is not a finite non-negative number"
+                          % (rank_factor,))
     if s.size == 0 or s[0] == 0.0:
         return 0
     cutoff = max(shape) * s[0] * EPS * rank_factor
     return int(np.count_nonzero(s > max(cutoff, floor)))
+
+
+def rank_floor(tol: float, rank_factor: float, shape: tuple, *norms: float) -> float:
+    """A ``_rank`` floor for a matrix of this shape built from operands of
+    Frobenius norms ``norms``: the larger of ``tolerance_bound(tol, *norms)``
+    and the spectral cutoff that the largest norm would set, the longer side
+    times that norm times rank_factor machine epsilons. The second term
+    keeps roundoff out of the rank where tol is 0; at the default tol and
+    rank_factor the first is the larger for every side below 70,000."""
+    cutoff = max(shape) * max(norms, default=0.0) * EPS * rank_factor
+    return max(tolerance_bound(tol, *norms), cutoff)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -715,23 +737,6 @@ def matrix_to_dict(a: Matrix) -> dict:
     return {"rows": a.rows, "cols": a.cols, "backend": a.backend, "entries": ent}
 
 
-# the decimal exponent at the end of a Fraction string, read as Fraction
-# reads it: an optional sign, digits with single underscores, e or E
-_EXPONENT = regex.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", regex.IGNORECASE)
-
-
-def _rational(text: str) -> Fraction:
-    """``Fraction(text)``, once a decimal exponent is checked to stay within
-    int()'s digit limit: Fraction computes 10**|exponent|, whose cost grows
-    faster than the exponent and reaches seconds for "1e-10000000"."""
-    exp = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if exp and abs(int(exp.group(1))) > limit:
-        raise MatOrderError("exact entry %r has a decimal exponent beyond %d"
-                            % (text, limit))
-    return Fraction(text)
-
-
 def matrix_from_dict(d: dict) -> Matrix:
     try:
         rows, cols, backend, entries = d["rows"], d["cols"], d["backend"], d["entries"]
@@ -755,7 +760,7 @@ def matrix_from_dict(d: dict) -> Matrix:
                 if not isinstance(re, str) or not isinstance(im, str):
                     raise MatOrderError("exact entries must be 'p/q' strings")
                 try:
-                    values.append((_rational(re), _rational(im)))
+                    values.append((as_rational(re), as_rational(im)))
                 except MatOrderError:
                     raise
                 except (ValueError, ZeroDivisionError) as exc:

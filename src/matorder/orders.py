@@ -7,7 +7,7 @@ rank characterizations, never by sampling; sampled inner inverses, drawn
 only on request, cross-check the universally quantified formulations.
 Every float threshold comes from ``matrix``: identities are decided by its
 ``_compare``, whose residual over bound is the report's margin, and ranks
-by its rank rule, which the rank route floors at ``tolerance_bound``.
+by its rank rule, which the rank route floors at ``rank_floor``.
 
 Relations covered, in the usual notation:
 
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
                      _compare, _rank, float_norm, matrices_equal, rank,
-                     tolerance_bound)
+                     rank_floor, tolerance_bound)
 from .pinv import _inner_inverse, moore_penrose, projector_range
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
@@ -344,7 +344,8 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     On the float backend (I - A+A) B+ carries roundoff of order
     eps cond(A) |B+|, which the cutoff relative to its own largest singular
     value would read as rank, so both ranks count only singular values above
-    ``tolerance_bound(tol, |A+|_F, |B+|_F)``, the scale of the operands.
+    ``rank_floor`` of |A+|_F and |B+|_F, the scale of the operands: their
+    ``tolerance_bound``, or under a tiny tol their spectral cutoff.
     """
     _check_pair(a, b)
     ad = moore_penrose(a, rank_factor)
@@ -352,7 +353,8 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     eye = Matrix.identity(a.cols, a.backend)
     floor = 0.0  # exact ranks take no floor
     if a.backend == FLOAT:
-        floor = tolerance_bound(tol, ad.frobenius(), bd.frobenius())
+        floor = rank_floor(tol, rank_factor, bd.shape, ad.frobenius(),
+                           bd.frobenius())
     r_diff = _rank(bd - ad, rank_factor, floor)
     r_proj = _rank((eye - ad @ a) @ bd, rank_factor, floor)
     incl = _range_leq(a.ct, b.ct, rank_factor)

@@ -5,7 +5,9 @@ rank factorization A = C R (pivot columns times reduced row echelon rows)
 and MacDuffee's closed form A+ = R* (C* A R*)^-1 C*, one inverse inside
 the rational field. Float matrices go through the matrix's ``float_svd``
 with the spectral rank cutoff. The four defining residuals of a candidate
-pseudoinverse are available as an independent check either way.
+pseudoinverse are available as an independent check either way. Every
+inner inverse, the space order's samples included, comes from the one
+formula a+ + w - (a+ a) w (a a+) in ``_inner_inverse``.
 """
 
 from __future__ import annotations

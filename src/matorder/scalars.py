@@ -11,13 +11,32 @@ hold plain ``complex``.
 
 from __future__ import annotations
 
+import re as regex  # re names real parts here
+import sys
 from fractions import Fraction
+
+from .errors import MatOrderError
+
+# the decimal exponent at the end of a Fraction string, read as Fraction
+# reads it: an optional sign, digits with single underscores, e or E
+_EXPONENT = regex.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", regex.IGNORECASE)
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
+    """Coerce an int, Fraction, or 'p/q' string to a Fraction.
+
+    A string's decimal exponent must stay within int()'s digit limit, or
+    this is a MatOrderError: Fraction computes 10**|exponent|, whose cost
+    grows faster than the exponent and reaches seconds for "1e-10000000".
+    """
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to an exact rational")
+    if isinstance(value, str):
+        exp = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if exp and abs(int(exp.group(1))) > limit:
+            raise MatOrderError("exact entry %r has a decimal exponent beyond %d"
+                                % (value, limit))
     return Fraction(value)
 
 

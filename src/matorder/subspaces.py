@@ -28,6 +28,11 @@ class SubspaceBasis:
     ambient_dim: int
     basis: Matrix
 
+    def __post_init__(self):
+        if self.basis.rows != self.ambient_dim:
+            raise ShapeError("a basis of %d rows spans no subspace of C^%d"
+                             % (self.basis.rows, self.ambient_dim))
+
     @property
     def dim(self) -> int:
         return self.basis.cols

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 import warnings
 from pathlib import Path
@@ -67,6 +68,21 @@ def test_check_space_reports_five_inner_samples(files, capsys, pair):
     assert code == 0
     assert out == json.dumps(want, indent=2) + "\n"
     assert '"inner_inverse_identities": true' in out
+
+
+def test_check_space_samples_from_seed(files, capsys):
+    # the sampled inner inverses, and so the margin, follow --seed
+    b = Matrix.from_complex([[1, 2j], [0.3, 4.5]])
+    path = files("b.json", b)
+    outs = {}
+    for seed in (0, 1):
+        code, outs[seed], _ = run(capsys, "--seed", str(seed), "check",
+                                  "--order", "space", path, path)
+        want = leq_space(b, b, EQ_TOL, inner_samples=5,
+                         rng=random.Random(seed)).to_dict()
+        assert code == 0
+        assert outs[seed] == json.dumps(want, indent=2) + "\n"
+    assert outs[0] != outs[1]
 
 
 def test_check_false_pair_exits_one(files, capsys):
@@ -352,6 +368,16 @@ def test_zero_tolerance_prints_true_verdict(files, capsys, order, margin):
     assert code == 0 and err == ""
     payload = _strict_json(out)
     assert payload["verdict"] is True and payload["witnesses"]["margin"] == margin
+
+
+@pytest.mark.parametrize("via", sorted(DIAMOND_ROUTES))
+def test_zero_tolerance_diamond_routes_agree(files, capsys, via):
+    # the rank route once read the roundoff of (I - B+B) B+ as rank here
+    b = files("b.json", Matrix.from_complex([[1, 2j], [0.3, 4.5]]))
+    code, out, err = run(capsys, "--tol", "0", "check", "--order", "diamond",
+                         "--via", via, b, b)
+    assert code == 0 and err == ""
+    assert _strict_json(out)["verdict"] is True
 
 
 def test_zero_tolerance_poset(tmp_path, capsys):

@@ -51,6 +51,28 @@ def test_exact_entries_that_cannot_be_placed_are_rejected(value):
             Matrix(1, 1, EXACT, [[value]])
 
 
+EXACT_PATHS = {
+    "constructor": lambda v: Matrix(1, 1, EXACT, [[v]]),
+    "exact": lambda v: Matrix.exact([[v]]),
+    "pair": lambda v: Matrix.exact([[("0", v)]]),
+    "scale": lambda v: Matrix.identity(1).scale(v),
+    "gaussian": lambda v: gaussian(v, "0"),
+    "json": lambda v: matrix_from_dict({"rows": 1, "cols": 1, "backend": EXACT,
+                                        "entries": [[["0", v]]]}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EXACT_PATHS))
+def test_every_exact_string_path_bounds_the_decimal_exponent(path):
+    # Fraction computes 10**exponent, which for 1e-1000000 took 0.22 s and
+    # a denominator of 3,321,929 bits before anything refused it
+    make = EXACT_PATHS[path]
+    for text in ("1e-4301", "1e+4301", "1e-1000000"):
+        with pytest.raises(MatOrderError, match="decimal exponent"):
+            make(text)
+    make("1e-4300")
+
+
 def test_exact_rejects_ragged_rows():
     with pytest.raises(MatOrderError):
         Matrix.exact([[1, 2], [3]])
@@ -84,6 +106,8 @@ def per_entry_matrix_from_dict(d: dict) -> Matrix:
                     raise MatOrderError("exact entries must be 'p/q' strings")
                 try:
                     out.append(GaussianRational(re, im))
+                except MatOrderError:  # the decimal exponent bound
+                    raise
                 except (ValueError, ZeroDivisionError) as exc:
                     raise MatOrderError("bad rational %r" % ((re, im),)) from exc
             else:
@@ -178,7 +202,7 @@ def test_json_reader_matches_per_entry_reader_on_one_entry(re, im):
 
 def test_json_reader_named_parts():
     for part in ("1/0", "1/-2", "1.5", "1e3", " 1/2 ", "1_000", "1__0",
-                 "9" * 5000, 1, None):
+                 "9" * 5000, "1e9999", 1, None):
         for entry in ([part, "0"], ["0", part]):
             doc = {"rows": 1, "cols": 1, "backend": EXACT, "entries": [[entry]]}
             assert_reads_alike(doc)

@@ -605,6 +605,21 @@ def test_non_finite_float_entries_rejected(value):
         Matrix.from_ndarray(np.array([[1.0, value]]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: Matrix.from_complex([[v]]),
+    lambda v: Matrix(1, 1, FLOAT, [[v]]),
+    lambda v: Matrix.from_ndarray(np.array([[v]], dtype=object)),
+    lambda v: Matrix.from_ndarray([[1.0, v]]),
+    lambda v: Matrix.identity(1, FLOAT).scale(v),
+    lambda v: Matrix.from_complex([[gaussian(v)]]),
+], ids=["from_complex", "constructor", "from_ndarray", "from_nested", "scale",
+        "gaussian"])
+def test_float_entry_beyond_the_float_range_is_a_domain_error(make):
+    # complex(10**400) once ended in a bare OverflowError
+    with pytest.raises(DomainError, match="does not fit a double"):
+        make(10 ** 400)
+
+
 def test_frobenius_of_huge_entries_is_finite():
     a = Matrix.from_complex([[1e200]])
     b = Matrix.from_complex([[3e200, 4e200j]])

@@ -11,7 +11,8 @@ from matorder import (DIAMOND_ROUTES, EXACT, FLOAT, RELATIONS, BackendError,
                       is_zero_matrix, left_star_equivalents, leq_diamond,
                       leq_left_star, leq_minus, leq_right_star, leq_space,
                       leq_star, matrices_equal, moore_penrose,
-                      projector_transfer, right_star_equivalents)
+                      projector_transfer, rank, right_star_equivalents)
+from matorder.subspaces import column_space
 from matorder import orders
 from matorder.orders import diamond_verdict
 
@@ -349,6 +350,27 @@ def test_zero_tolerance_decides_a_float_matrix_below_itself(name, fn):
     # tol = 0 makes every float bound 0; equal sides must not divide 0 by it
     a = Matrix.from_complex([[1, 0], [0, 2]])
     assert fn(a, a, 0.0).verdict
+
+
+@pytest.mark.parametrize("name, fn", ALL_ROUTES)
+def test_zero_tolerance_reads_roundoff_as_no_rank(name, fn):
+    # (I - B+B) B+ of this b is roundoff, singular values 3.3e-16 and
+    # 3.6e-17, which the rank route once counted as rank 2 under tol 0
+    b = Matrix.from_complex([[1, 2j], [0.3, 4.5]])
+    assert fn(b, b, 0.0).verdict
+
+
+@pytest.mark.parametrize("rank_factor", [-1.0, float("nan"), float("inf")])
+def test_rank_factor_without_cutoff_is_a_domain_error(rank_factor):
+    # NaN and inf once gave rank 0 and a zero pinv; a negative factor
+    # counts roundoff as rank
+    a = Matrix.from_complex([[1, 0], [0, 2]])
+    calls = (rank, moore_penrose, column_space,
+             lambda x, rf: leq_minus(x, x, rank_factor=rf))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call(a, rank_factor)
+    assert rank(a, 0.0) == 2
 
 
 def test_zero_tolerance_margins():

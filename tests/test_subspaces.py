@@ -103,6 +103,13 @@ def test_subspace_errors():
         subspace_leq(line(1, 0), column_space(Matrix.identity(2).to_float()))
 
 
+def test_basis_rows_must_match_the_ambient_dimension():
+    # a 2-row basis in C^3 once reached numpy's ValueError in a comparison
+    with pytest.raises(ShapeError):
+        SubspaceBasis(3, Matrix.exact([[1], [0]]))
+    assert SubspaceBasis(2, Matrix.zeros(2, 0)).dim == 0
+
+
 def test_intersection_dims():
     assert subspace_intersection_dim(line(1, 0), line(1, 0)) == 1
     assert subspace_intersection_dim(line(1, 0), line(0, 1)) == 0
