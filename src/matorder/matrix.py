@@ -12,9 +12,10 @@ when read, for display and indexing. The float backend stores finite
 complex128 entries. Every float threshold in the package is
 ``tolerance_bound`` of the operands' Frobenius norms: comparisons go
 through ``_compare`` (``matrices_equal`` is its verdict), and rank counts
-singular values above a spectral cutoff, or above ``rank_floor``, such a
-bound held at least at that cutoff, where a caller floors it (``_rank``). Each arithmetic kernel is one numpy
-expression on the stored arrays.
+singular values above a spectral cutoff, or above a caller's floor
+(``_rank``): ``rank_floor``, such a bound raised to the operands' own
+spectral cutoff. Each arithmetic kernel is one numpy expression on the
+stored arrays.
 """
 
 from __future__ import annotations
