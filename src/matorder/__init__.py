@@ -19,8 +19,8 @@ _HOMES = {
     "matrix": "EPS EQ_TOL EXACT FLOAT RANK_FACTOR Matrix block exact_rref "
               "hstack inverse is_zero_matrix matrices_equal matrix_from_dict "
               "matrix_from_json matrix_to_dict matrix_to_json rank vstack",
-    "subspaces": "SubspaceBasis column_space range_sum_check "
-                 "subspace_intersection_dim subspace_leq",
+    "subspaces": "column_space range_sum_check subspace_intersection_dim "
+                 "subspace_leq",
     "pinv": "PenroseResiduals inner_inverse is_partial_isometry moore_penrose "
             "penrose_residuals projector_range projector_rowspace",
     "decomp": "CanonicalPair HSForm SVDForm diamond_canonical_pair "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
-                     block, float_svd, hstack, memoized, rank, vstack)
+                     _kept, block, float_svd, hstack, memoized, rank, vstack)
 from .pinv import moore_penrose
 
 
@@ -107,17 +107,16 @@ class HSForm:
         the r x r idempotent t determines: u [[ck, cl], [0, 0]] u* with
         c = (s^-1 t)+.
 
-        The result is kept in ``t._memo`` with this form, one per
-        rank_factor, and returned again while the form is this one, so its
-        own memo (pinv, column spaces) is shared by every later caller.
+        The result is kept on t with this form as its owner, one per
+        rank_factor, so its own memo (pinv, column spaces) is shared by
+        every later caller with this form.
         """
-        key = ("predecessor", rank_factor)
-        form, a = t._memo.get(key, (None, None))
-        if form is not self:
-            c = moore_penrose(self.sigma_inv() @ t, rank_factor)
-            a = _chain(self.u, self._top_block_row(c), self.u.ct)
-            t._memo[key] = (self, a)
-        return a
+        return _kept(t, ("predecessor", rank_factor), self._predecessor,
+                     owner=self)
+
+    def _predecessor(self, t: Matrix, key: tuple) -> Matrix:
+        c = moore_penrose(self.sigma_inv() @ t, key[1])
+        return _chain(self.u, self._top_block_row(c), self.u.ct)
 
     def predecessor_pinv(self, t: Matrix) -> Matrix:
         """Closed-form pseudoinverse of ``predecessor(t)``:

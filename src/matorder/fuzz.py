@@ -9,6 +9,7 @@ are looked up by name in ``orders.RELATIONS`` and ``orders.DIAMOND_ROUTES``.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,8 +44,8 @@ class RunConfig:
     def __post_init__(self):
         if self.backend not in (EXACT, FLOAT):
             raise MatOrderError("unknown backend %r" % self.backend)
-        if not (self.tol > 0 and self.rank_factor > 0):
-            raise MatOrderError("tolerances must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.rank_factor < math.inf):
+            raise MatOrderError("tolerances must be positive and finite")
         if not 1 <= self.dim_min <= self.dim_max:
             raise MatOrderError("need 1 <= dim_min <= dim_max")
         if self.trials < 0:

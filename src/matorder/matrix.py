@@ -15,7 +15,8 @@ through ``_compare`` (``matrices_equal`` is its verdict), and rank counts
 singular values above a spectral cutoff, or above a caller's floor
 (``_rank``): ``rank_floor``, such a bound raised to the operands' own
 spectral cutoff. Each arithmetic kernel is one numpy expression on the
-stored arrays.
+stored arrays. What a matrix keeps of its own (adjoint, elimination, SVD,
+the ``memoized`` factorizations) is read and written only by ``_kept``.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ class Matrix:
     ``_ints``, its canonical integer form (``integer_form``), from the
     moment it is built, and builds ``entries`` from it on first read, for
     display and indexing. A float matrix stores ``_entries``, so the float
-    branches read that slot and skip the property. ``_memo`` holds
-    what ``ct``, the exact elimination, the float SVD and the ``memoized``
-    factorizations computed on this matrix.
+    branches read that slot and skip the property. ``_memo``, which only
+    ``_kept`` touches, holds what ``ct``, the exact elimination, the float
+    SVD, the ``memoized`` factorizations and other modules keep on it.
     """
 
     __slots__ = ("rows", "cols", "backend", "_entries", "_ints", "_memo")
@@ -339,10 +340,7 @@ class Matrix:
     def ct(self) -> "Matrix":
         """The conjugate transpose, computed once per matrix. It keeps no
         link back, so ``a.ct.ct`` is a new matrix equal to ``a``."""
-        memo = self._memo
-        if "ct" not in memo:
-            memo["ct"] = self.conj_transpose()
-        return memo["ct"]
+        return _kept(self, "ct", _adjoint)
 
     @property
     def integer_form(self) -> tuple:
@@ -477,21 +475,40 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     return vstack(*[hstack(*row) for row in grid])
 
 
+def _kept(a: Matrix, key, build, owner=None):
+    """``build(a, key)``, an immutable value other than None, kept on a
+    under ``key`` from the first call on: the one reader and writer of
+    ``Matrix._memo``. A value kept for an ``owner`` is returned only to it;
+    another owner builds its own, which replaces it."""
+    memo = a._memo
+    kept = memo.get(key)
+    if owner is None:
+        if kept is None:
+            kept = memo[key] = build(a, key)
+        return kept
+    if kept is None or kept[0] is not owner:
+        kept = memo[key] = owner, build(a, key)
+    return kept[1]
+
+
 def memoized(f):
     """Compute ``f(a, rank_factor)`` once per matrix ``a``: the result is
     kept on ``a`` under the key ``(f.__name__, rank_factor)``. Every later
     caller on ``a`` shares it, so f must return an immutable value."""
     name = f.__name__
 
+    def build(a: Matrix, key: tuple):
+        return f(a, key[1])
+
     @functools.wraps(f)
     def cached(a: Matrix, rank_factor: float = RANK_FACTOR):
-        key = (name, rank_factor)
-        memo = a._memo
-        if key not in memo:
-            memo[key] = f(a, rank_factor)
-        return memo[key]
+        return _kept(a, (name, rank_factor), build)
 
     return cached
+
+
+def _adjoint(a: Matrix, key: str) -> Matrix:
+    return a.conj_transpose()
 
 
 # -- equality and rank -------------------------------------------------
@@ -580,13 +597,14 @@ def _exact_quotient(x, n):
 
 
 def _elimination(a: Matrix) -> tuple:
-    """``_gauss_jordan(a)``, run once per matrix: kept in ``a._memo`` with
-    read-only rows and the pivot columns as a tuple."""
-    memo = a._memo
-    if "gauss_jordan" not in memo:
-        re, im, last, pivots = _gauss_jordan(a)
-        memo["gauss_jordan"] = (_read_only(re), _read_only(im), last, tuple(pivots))
-    return memo["gauss_jordan"]
+    """``_gauss_jordan(a)``, run once per matrix: kept on a with read-only
+    rows and the pivot columns as a tuple."""
+    return _kept(a, "gauss_jordan", _kept_elimination)
+
+
+def _kept_elimination(a: Matrix, key: str) -> tuple:
+    re, im, last, pivots = _gauss_jordan(a)
+    return _read_only(re), _read_only(im), last, tuple(pivots)
 
 
 def _gauss_jordan(a: Matrix):
@@ -664,12 +682,13 @@ def _rank(a: Matrix, rank_factor: float, floor: float) -> int:
 
 def float_svd(a: Matrix, rank_factor: float = RANK_FACTOR) -> tuple:
     """``(u, s, vh, r)``: the full SVD a = u diag(s) vh of a float matrix,
-    kept read-only in ``a._memo``, and the rank r that rank_factor gives."""
-    memo = a._memo
-    if "svd" not in memo:
-        memo["svd"] = tuple(_read_only(x) for x in np.linalg.svd(a._entries))
-    u, s, vh = memo["svd"]
+    kept read-only on a, and the rank r that rank_factor gives."""
+    u, s, vh = _kept(a, "svd", _kept_svd)
     return u, s, vh, spectral_rank(s, a.shape, rank_factor)
+
+
+def _kept_svd(a: Matrix, key: str) -> tuple:
+    return tuple(_read_only(x) for x in np.linalg.svd(a._entries))
 
 
 def spectral_rank(s, shape: tuple, rank_factor: float, floor: float = 0.0) -> int:

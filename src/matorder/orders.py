@@ -46,7 +46,8 @@ from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
                      _compare, _rank, float_norm, matrices_equal, rank,
                      rank_floor, tolerance_bound)
-from .pinv import _inner_inverse, moore_penrose, projector_range
+from .pinv import (_inner_inverse, moore_penrose, projector_range,
+                   projector_rowspace)
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
@@ -94,8 +95,8 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     g_left, m1 = _compare(act @ a, act @ b, tol)
     g_right, m2 = _compare(a @ act, b @ act, tol)
     ad = moore_penrose(a, rank_factor)
-    d_left, m3 = _compare(ad @ a, ad @ b, tol)
-    d_right, m4 = _compare(a @ ad, b @ ad, tol)
+    d_left, m3 = _compare(projector_rowspace(a, rank_factor), ad @ b, tol)
+    d_right, m4 = _compare(projector_range(a, rank_factor), b @ ad, tol)
     verdict = g_left and g_right
     return OrderReport("star", verdict, "definition", {
         "gram_left": g_left, "gram_right": g_right,
@@ -328,11 +329,11 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     verdict = inter == 0 and incl
     diff_in_b = subspace_leq(s_diff, s_rows_b, rank_factor)
     split = (verdict and diff_in_b
-             and s_rows_a.dim + s_diff.dim == s_rows_b.dim)
+             and s_rows_a.cols + s_diff.cols == s_rows_b.cols)
     return OrderReport("diamond", verdict, "range-split", {
         "intersection_dim": inter, "row_range_inclusion": incl,
-        "dim_rows_a": s_rows_a.dim, "dim_diff": s_diff.dim,
-        "dim_rows_b": s_rows_b.dim, "direct_sum": split,
+        "dim_rows_a": s_rows_a.cols, "dim_diff": s_diff.cols,
+        "dim_rows_b": s_rows_b.cols, "direct_sum": split,
     })
 
 
@@ -356,7 +357,8 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
         floor = rank_floor(tol, rank_factor, bd.shape, ad.frobenius(),
                            bd.frobenius())
     r_diff = _rank(bd - ad, rank_factor, floor)
-    r_proj = _rank((eye - ad @ a) @ bd, rank_factor, floor)
+    r_proj = _rank((eye - projector_rowspace(a, rank_factor)) @ bd,
+                   rank_factor, floor)
     incl = _range_leq(a.ct, b.ct, rank_factor)
     return OrderReport("diamond", r_diff == r_proj and incl, "rank", {
         "rank_dagger_diff": r_diff, "rank_complement_product": r_proj,
@@ -399,7 +401,7 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     base = leq_left_star(a, b, tol, rank_factor)
     dia = diamond_verdict(a, b, tol, rank_factor)
     ad = moore_penrose(a, rank_factor)
-    dag = matrices_equal(ad @ a, ad @ b, tol)
+    dag = matrices_equal(projector_rowspace(a, rank_factor), ad @ b, tol)
     herm_m = a.ct @ b
     herm = matrices_equal(herm_m, herm_m.ct, tol)
     votes = {
@@ -445,7 +447,18 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
     """The table ``leq[i][j]`` of equally shaped matrices on one backend:
     True for i == j, else the verdict of ``RELATIONS[relation]`` on (mats[i],
     mats[j]). Diamond builds no report: ``diamond_table`` decides a float
-    family and ``diamond_verdict`` an exact one."""
+    family and ``diamond_verdict`` an exact one. An unknown relation, a
+    member that is not a Matrix, and mixed shapes or backends are refused
+    before any verdict, an empty family included."""
+    if relation not in RELATIONS:
+        raise DomainError("unknown relation %r" % relation)
+    for m in mats:
+        if not isinstance(m, Matrix):
+            raise ShapeError("poset needs matrices")
+        if m.shape != mats[0].shape:
+            raise ShapeError("poset needs equally shaped matrices")
+        if m.backend != mats[0].backend:
+            raise DomainError("poset needs a single backend")
     if relation != "diamond":
         pred = RELATIONS[relation]
 

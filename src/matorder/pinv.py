@@ -7,7 +7,8 @@ the rational field. Float matrices go through the matrix's ``float_svd``
 with the spectral rank cutoff. The four defining residuals of a candidate
 pseudoinverse are available as an independent check either way. Every
 inner inverse, the space order's samples included, comes from the one
-formula a+ + w - (a+ a) w (a a+) in ``_inner_inverse``.
+formula a+ + w - (a+ a) w (a a+) in ``_inner_inverse``. a+ and the
+projectors a a+ and a+ a are kept on a, one per rank_factor.
 """
 
 from __future__ import annotations
@@ -98,13 +99,15 @@ def _inner_inverse(a: Matrix, ad: Matrix, w: Matrix) -> Matrix:
     return ad + w - (ad @ a) @ w @ (a @ ad)
 
 
+@memoized
 def projector_range(a: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
-    """Orthogonal projector onto the column space of a."""
+    """Orthogonal projector a a+ onto the column space of a."""
     return a @ moore_penrose(a, rank_factor)
 
 
+@memoized
 def projector_rowspace(a: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
-    """Orthogonal projector onto the column space of a*."""
+    """Orthogonal projector a+ a onto the column space of a*."""
     return moore_penrose(a, rank_factor) @ a
 
 

@@ -6,16 +6,17 @@ space pre-order and for duplicate inputs), and keeps only covering edges,
 i.e. the transitive reduction of the strict order between nodes. The DOT
 rendering lists every node and one edge per cover.
 
-The relation's verdicts on all pairs come from ``orders.verdict_table``.
+The relation's verdicts on all pairs come from ``orders.verdict_table``,
+which also refuses an unknown relation and a family that is not equally
+shaped matrices on one backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ShapeError
-from .matrix import EQ_TOL, RANK_FACTOR, Matrix
-from .orders import RELATIONS, verdict_table
+from .matrix import EQ_TOL, RANK_FACTOR
+from .orders import verdict_table
 
 
 @dataclass(frozen=True)
@@ -38,22 +39,10 @@ class PosetGraph:
 def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
                 rank_factor: float = RANK_FACTOR) -> PosetGraph:
     """Cover diagram of the relation over [(label, matrix), ...]."""
-    if relation not in RELATIONS:
-        raise DomainError("unknown relation %r" % relation)
     labels = [label for label, _ in items]
     mats = [m for _, m in items]
-    n = len(mats)
-    if n == 0:
-        return PosetGraph(relation, (), ())
-    for m in mats:
-        if not isinstance(m, Matrix):
-            raise ShapeError("poset needs matrices")
-        if m.shape != mats[0].shape:
-            raise ShapeError("poset needs equally shaped matrices")
-        if m.backend != mats[0].backend:
-            raise DomainError("poset needs a single backend")
-
     leq = verdict_table(mats, relation, tol, rank_factor)
+    n = len(mats)
 
     # merge mutually comparable inputs into one node
     assigned = [-1] * n

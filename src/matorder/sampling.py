@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from .matrix import EXACT, FLOAT, Matrix
-from .pinv import moore_penrose
+from .pinv import projector_range, projector_rowspace
 
 
 def exact_matrix(rng: random.Random, m: int, n: int) -> Matrix:
@@ -54,9 +54,8 @@ def exact_pair(rng: random.Random, m: int, n: int):
         return kind, Matrix.zeros(m, n, EXACT), a
     if kind == "scaled":
         return kind, a, a.scale(2)
-    ad = moore_penrose(a)
-    p = a @ ad
-    q = ad @ a
+    p = projector_range(a)
+    q = projector_rowspace(a)
     eye_m = Matrix.identity(m, EXACT)
     eye_n = Matrix.identity(n, EXACT)
     d = exact_matrix(rng, m, n)

@@ -1,88 +1,62 @@
 """Column spaces and subspace comparisons.
 
-A subspace of C^m is carried around as a basis matrix whose columns are
-linearly independent spanning vectors. On the exact backend, inclusion and
-intersection are decided against a left-null basis X of one side's basis
-T, whose columns span null(T*): a vector lies in col(T) exactly when it is
-orthogonal to every column of X (Ben-Israel and Greville, *Generalized
-Inverses*, 2nd ed., 2003, ch. 1). X is read off T*'s kept elimination and
-kept on T, so the calls that share a basis share X. On the float backend
-both reduce to rank computations on stacked bases.
+A subspace of C^m is carried around as a plain m-row basis Matrix, whose
+columns ``column_space`` makes linearly independent. On the exact backend,
+inclusion and intersection are decided against a left-null basis X of one
+side's basis T, whose columns span null(T*): a vector lies in col(T)
+exactly when it is orthogonal to every column of X (Ben-Israel and
+Greville, *Generalized Inverses*, 2nd ed., 2003, ch. 1). X is read off
+T*'s kept elimination and kept on T, so the calls that share a basis share
+X. On the float backend both reduce to rank computations on stacked bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BackendError, ShapeError
-from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, _read_only,
-                     float_svd, hstack, memoized, rank)
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Basis of a subspace of C^ambient_dim; columns of ``basis`` span it."""
-
-    ambient_dim: int
-    basis: Matrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise ShapeError("a basis of %d rows spans no subspace of C^%d"
-                             % (self.basis.rows, self.ambient_dim))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    @property
-    def backend(self) -> str:
-        return self.basis.backend
+from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, _kept,
+                     _read_only, float_svd, hstack, memoized, rank)
 
 
 @memoized
-def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> SubspaceBasis:
-    """Basis of the column space of a.
+def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
+    """A basis matrix of the column space of a, with independent columns.
 
     Exact: the pivot columns of a. Float: left singular vectors kept by
     the rank cutoff, so the returned basis is orthonormal.
     """
     if a.backend == EXACT:
-        return SubspaceBasis(a.rows, a.columns(_elimination(a)[3]))
+        return a.columns(_elimination(a)[3])
     u, _, _, r = float_svd(a, rank_factor)
-    return SubspaceBasis(a.rows, Matrix.from_ndarray(u[:, :r]))
+    return Matrix.from_ndarray(u[:, :r])
 
 
-def _check_comparable(s: SubspaceBasis, t: SubspaceBasis):
-    if s.ambient_dim != t.ambient_dim:
+def _check_comparable(s: Matrix, t: Matrix):
+    if s.rows != t.rows:
         raise ShapeError("subspaces live in different ambient spaces")
     if s.backend != t.backend:
         raise BackendError("cannot compare subspaces across backends")
 
 
-def _left_null(t: Matrix) -> tuple:
+def _left_null(t: Matrix, key: str) -> tuple:
     """``(re, im)``: Gaussian-integer columns re + i·im spanning null(t*),
-    read off the kept elimination of t* and kept in ``t._memo``.
+    read off the kept elimination of t*; kept on t under ``key``.
 
     The final rows of that elimination are the reduced row echelon form of
     t* times ``last``, so for each free column f the vector with x[f] =
     ``last``, x[p] = -row[f] at the pivot p of each row, and 0 elsewhere
     lies in null(t*); together they span it.
     """
-    memo = t._memo
-    if "left_null" not in memo:
-        re, im, (lr, li), pivots = _elimination(t.ct)
-        free = [c for c in range(t.rows) if c not in pivots]
-        xr = np.zeros((t.rows, len(free)), dtype=object)
-        xi = np.zeros((t.rows, len(free)), dtype=object)
-        xr[list(pivots)] = -re[:len(pivots), free]
-        xi[list(pivots)] = -im[:len(pivots), free]
-        xr[free, range(len(free))] = lr
-        xi[free, range(len(free))] = li
-        memo["left_null"] = (_read_only(xr), _read_only(xi))
-    return memo["left_null"]
+    re, im, (lr, li), pivots = _elimination(t.ct)
+    free = [c for c in range(t.rows) if c not in pivots]
+    xr = np.zeros((t.rows, len(free)), dtype=object)
+    xi = np.zeros((t.rows, len(free)), dtype=object)
+    xr[list(pivots)] = -re[:len(pivots), free]
+    xi[list(pivots)] = -im[:len(pivots), free]
+    xr[free, range(len(free))] = lr
+    xi[free, range(len(free))] = li
+    return _read_only(xr), _read_only(xi)
 
 
 def _adjoint_times(s: Matrix, x: tuple) -> tuple:
@@ -94,43 +68,42 @@ def _adjoint_times(s: Matrix, x: tuple) -> tuple:
     return sr.T @ xr + si.T @ xi, sr.T @ xi - si.T @ xr
 
 
-def subspace_leq(s: SubspaceBasis, t: SubspaceBasis,
+def subspace_leq(s: Matrix, t: Matrix,
                  rank_factor: float = RANK_FACTOR) -> bool:
-    """Whether span(s) is contained in span(t).
+    """Whether col(s) is contained in col(t), for basis matrices s and t.
 
-    Exact: span(s) ⊆ span(t) exactly when s* X = 0 for the kept left-null
-    basis X of t's basis, one product on integer numerators, whatever the
-    rank of t's columns. Float: each vector of s lies in span(t) when
-    appending s's basis to t's does not raise the rank, so one stacked rank
-    computation decides the whole inclusion.
+    Exact: col(s) ⊆ col(t) exactly when s* X = 0 for the kept left-null
+    basis X of t, one product on integer numerators, whatever the rank of
+    either side. Float: s lies in col(t) when appending s to t does not
+    raise the rank above t's column count, so t's columns must be
+    independent, as ``column_space``'s are.
     """
     _check_comparable(s, t)
-    if s.dim == 0:
+    if s.cols == 0:
         return True
     if s.backend == EXACT:
-        re, im = _adjoint_times(s.basis, _left_null(t.basis))
+        re, im = _adjoint_times(s, _kept(t, "left_null", _left_null))
         return not (re.any() or im.any())
-    if t.dim == 0:
-        return rank(s.basis, rank_factor) == 0
-    stacked = hstack(t.basis, s.basis)
-    return rank(stacked, rank_factor) == t.dim
+    return rank(hstack(t, s), rank_factor) == t.cols
 
 
-def subspace_intersection_dim(s: SubspaceBasis, t: SubspaceBasis,
+def subspace_intersection_dim(s: Matrix, t: Matrix,
                               rank_factor: float = RANK_FACTOR) -> int:
-    """dim(span(s) ∩ span(t)).
+    """dim(col(s) ∩ col(t)), for basis matrices s and t.
 
-    Exact: dim t - rank(t* X), for the kept left-null basis X of s's basis,
-    so the side that recurs goes first. Float: dim s + dim t - rank([s | t]).
-    Both read the dimensions as the column counts of the bases.
+    Exact: t.cols - rank(t* X), for the kept left-null basis X of s, so
+    the side that recurs goes first. Float: s.cols + t.cols - rank([s | t]).
+    Both read dimensions as column counts, so the columns of t, and on the
+    float backend those of s, must be independent, as ``column_space``'s
+    are.
     """
     _check_comparable(s, t)
-    if s.dim == 0 or t.dim == 0:
+    if s.cols == 0 or t.cols == 0:
         return 0
     if s.backend == EXACT:
-        re, im = _adjoint_times(t.basis, _left_null(s.basis))
-        return t.dim - rank(Matrix._from_ints(re, im, 1))
-    return s.dim + t.dim - rank(hstack(s.basis, t.basis), rank_factor)
+        re, im = _adjoint_times(t, _kept(s, "left_null", _left_null))
+        return t.cols - rank(Matrix._from_ints(re, im, 1))
+    return s.cols + t.cols - rank(hstack(s, t), rank_factor)
 
 
 def range_sum_check(a: Matrix, b: Matrix, rank_factor: float = RANK_FACTOR) -> bool:

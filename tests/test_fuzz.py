@@ -31,6 +31,14 @@ def test_config_validation():
         RunConfig(trials=-1)
 
 
+@pytest.mark.parametrize("knob", ["tol", "rank_factor"])
+def test_config_refuses_an_infinite_knob(knob):
+    # inf once passed here and stopped run_all at its first float rank or
+    # bound with a DomainError
+    with pytest.raises(MatOrderError, match="finite"):
+        RunConfig(**{knob: float("inf")})
+
+
 def test_property_result_shape():
     res = PropertyResult("x", 10, 0, None)
     assert res.passed

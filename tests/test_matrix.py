@@ -22,7 +22,8 @@ from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderErro
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix_to_json, moore_penrose, rank, vstack)
-from matorder.matrix import _chain, float_norm, tolerance_bound
+from matorder.matrix import _chain, float_norm, float_svd, tolerance_bound
+from matorder.sampling import float_pair
 from matorder.scalars import GaussianRational, gaussian
 
 SMALL = st.integers(min_value=-3, max_value=3)
@@ -296,6 +297,22 @@ def test_rank_agrees_across_backends(a):
     assert rank(a) == rank(a.to_float())
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8))
+def test_float_rank_routes_agree(seed, n):
+    # rank runs its own values-only SVD, while moore_penrose, column_space
+    # and the block form read the rank of the kept full SVD
+    _, a, b = float_pair(random.Random(seed), n)
+    ad, bd = moore_penrose(a), moore_penrose(b)
+    rows_a, rows_b = column_space(a.ct), column_space(b.ct)
+    diff = column_space(bd - ad)
+    for m in (a, b, ad, bd, b - a, bd - ad,
+              hstack(column_space(b), column_space(a)),
+              hstack(rows_b, rows_a), hstack(rows_b, diff),
+              hstack(rows_a, diff)):
+        assert rank(m) == float_svd(m)[3]
+
+
 def test_inverse_known_and_errors():
     b = Matrix.exact([[1, 1], [0, 1]])
     binv = inverse(b)
@@ -348,7 +365,7 @@ def test_elimination_and_products_match_reference(a):
     assert pivots == ref_pivots
     assert red.entries.tolist() == ref_rows
     assert rank(a) == len(ref_pivots)
-    basis = column_space(a).basis
+    basis = column_space(a)
     assert basis.entries.tolist() == [[row[c] for c in ref_pivots]
                                       for row in a.entries.tolist()]
     checked = [red, basis, a @ a.ct, a.ct @ a]

@@ -4,9 +4,11 @@ Matrix object, and the diamond predecessor once per idempotent and block
 form; exact entries are built only when read, and none of it changes a
 result."""
 
+import ast
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ def test_each_rank_factor_gets_its_own_result():
     b = Matrix.from_complex(NEAR_RANK_ONE)
     for rf, rank in ((1e3, 1), (64.0, 2), (1e3, 1)):
         assert moore_penrose(b, rf) == moore_penrose(_fresh(b), rf)
-        assert column_space(b, rf).dim == rank
+        assert column_space(b, rf).cols == rank
         assert hartwig_spindelbock(b, rf).r == rank
     assert moore_penrose(b, 1e3) != moore_penrose(b, 64.0)
     low, high = matrix.float_svd(b, 1e3), matrix.float_svd(b, 64.0)
@@ -85,14 +87,15 @@ def test_cached_values_are_read_only():
     hs = hartwig_spindelbock(b)
     space = column_space(b)
     u, s, vh, _ = matrix.float_svd(b)
-    for arr in [m.entries for m in (b.ct, moore_penrose(b), space.basis,
+    for arr in [m.entries for m in (b.ct, moore_penrose(b), space,
                                     hs.u, hs.k, hs.l)] + [u, s, vh]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 5
-    for value, field in ((space, "basis"), (hs, "k")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, field, b)
+    with pytest.raises(AttributeError, match="immutable"):
+        space.cols = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hs.k = b
 
 
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
@@ -192,7 +195,7 @@ def test_one_elimination_per_matrix(monkeypatch):
     monkeypatch.setattr(matrix, "_gauss_jordan", counted)
     for _ in range(2):
         assert rank(a) == 2
-        assert column_space(a).dim == 2
+        assert column_space(a).cols == 2
         red, pivots = exact_rref(a)
         moore_penrose(a)
     assert sum(m is a for m in eliminated) == 1
@@ -224,10 +227,10 @@ def test_exact_inclusion_eliminates_once_per_basis_and_never_ranks(monkeypatch):
     t = column_space(Matrix.exact([[1, 0], [(0, 1), 1], [2, "1/2"]]))
     inside = column_space(Matrix.exact([[1], [(1, 1)], ["5/2"]]))
     outside = column_space(Matrix.exact([[0], [0], [1]]))
-    again = column_space(_fresh(inside.basis))
+    again = column_space(_fresh(inside))
     eliminated.clear()
     assert subspace_leq(inside, t)
-    assert eliminated == [t.basis.ct]
+    assert eliminated == [t.ct]
     assert not subspace_leq(outside, t)
     assert subspace_leq(again, t)
     assert len(eliminated) == 1
@@ -243,7 +246,7 @@ def test_exact_pair_calls_never_eliminate_a_stacked_basis(monkeypatch):
         real = getattr(orders, name)
 
         def recorded(s, t, *args, real=real):
-            compared.append((s.basis, t.basis))
+            compared.append((s, t))
             return real(s, t, *args)
 
         monkeypatch.setattr(orders, name, recorded)
@@ -351,3 +354,14 @@ def test_exact_kernels_build_entries_only_when_read(monkeypatch):
     fresh = chain(_fresh(a), _fresh(b))
     assert entries.tolist() == fresh.entries.tolist()
     assert all(isinstance(v, GaussianRational) for v in entries.flat)
+
+
+def test_only_the_matrix_module_touches_the_memo():
+    # matrix._kept is the one reader and writer of Matrix._memo
+    sources = sorted(Path(matrix.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    touched = ["%s:%d" % (path.name, node.lineno)
+               for path in sources if path.name != "matrix.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_memo"]
+    assert touched == []

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from matorder import (DomainError, Matrix, PosetGraph, ShapeError,
-                      build_poset, leq_minus, to_dot)
+from matorder import (FLOAT, DomainError, MatOrderError, Matrix, PosetGraph,
+                      ShapeError, build_poset, leq_minus, to_dot)
+from matorder.orders import verdict_table
 
 ZERO = Matrix.zeros(2, 2)
 A = Matrix.exact([[0, 1], [0, 0]])
@@ -78,6 +79,23 @@ def test_items_must_be_matrices():
                   [("a", A), ("arr", np.zeros((2, 2)))]):
         with pytest.raises(ShapeError, match="poset needs matrices"):
             build_poset(items)
+
+
+# each family once ended a direct verdict_table call in a raw error
+@pytest.mark.parametrize("relation, mats", [
+    ("lexicographic", [A, B]),  # KeyError
+    ("lexicographic", []),
+    ("diamond", [A.to_float(), Matrix.zeros(2, 3, FLOAT)]),  # numpy's error
+    ("diamond", [3, A]),  # AttributeError
+    ("diamond", [A.to_float(), B]),  # AttributeError
+    ("star", [A, np.zeros((2, 2))]),
+], ids=["relation", "empty", "shapes", "non-matrix", "backends", "array"])
+def test_verdict_table_refuses_what_build_poset_refuses(relation, mats):
+    with pytest.raises(MatOrderError) as refused:
+        build_poset([(str(i), m) for i, m in enumerate(mats)], relation)
+    with pytest.raises(type(refused.value)) as direct:
+        verdict_table(mats, relation)
+    assert str(direct.value) == str(refused.value)
 
 
 def test_dot_rendering_exact_text():
