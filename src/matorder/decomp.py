@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
-                     _kept, block, float_svd, hstack, memoized, rank, vstack)
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _kept, block,
+                     float_svd, hstack, memoized, rank, vstack)
 from .pinv import moore_penrose
 
 
@@ -116,7 +116,7 @@ class HSForm:
 
     def _predecessor(self, t: Matrix, key: tuple) -> Matrix:
         c = moore_penrose(self.sigma_inv() @ t, key[1])
-        return _chain(self.u, self._top_block_row(c), self.u.ct)
+        return self.u @ self._top_block_row(c) @ self.u.ct
 
     def predecessor_pinv(self, t: Matrix) -> Matrix:
         """Closed-form pseudoinverse of ``predecessor(t)``:
@@ -124,7 +124,7 @@ class HSForm:
         sit = self.sigma_inv() @ t
         left = vstack(self.k.ct @ sit, self.l.ct @ sit)
         rest = Matrix.zeros(self.n, self.n - self.r, FLOAT)
-        return _chain(self.u, hstack(left, rest), self.u.ct)
+        return self.u @ hstack(left, rest) @ self.u.ct
 
     def pinv(self) -> Matrix:
         """Closed-form pseudoinverse of the reconstructed matrix, which is

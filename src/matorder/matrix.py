@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
@@ -113,8 +113,21 @@ def _over_common_denominator(mats) -> tuple:
             for re, im, e in forms], d
 
 
+def _float_array(entries, arr):
+    """A new complex array of the float entries ``entries``, which numpy
+    reads as ``arr``: an array of a numeric dtype converts as a whole, any
+    other is read entry by entry by ``_coerce_float``."""
+    if arr.dtype.kind in "biufc":
+        return np.array(arr, dtype=complex)
+    values = np.asarray(entries, dtype=object).flat
+    return np.array([_coerce_float(v) for v in values], dtype=complex).reshape(arr.shape)
+
+
 def _coerce_float(value) -> complex:
-    if not isinstance(value, (GaussianRational, int, float, complex)):
+    """The float entry ``value``: a number (any ``numbers.Complex``) or a
+    GaussianRational. Anything else, a string or None included, is a
+    MatOrderError."""
+    if not isinstance(value, (numbers.Complex, GaussianRational)):
         raise MatOrderError("cannot place %r in a float matrix" % (value,))
     try:
         return complex(value)
@@ -140,12 +153,15 @@ class Matrix:
     def __init__(self, rows: int, cols: int, backend: str, entries):
         """Copy ``entries``, a nested sequence or an array, into a new
         matrix. An exact entry is a GaussianRational, an int, a Fraction or
-        a 'p/q' string; anything else is a MatOrderError."""
-        dtype = _dtype(rows, cols, backend)
+        a 'p/q' string. A float entry is what ``_coerce_float`` takes; an
+        array of a numeric dtype is taken whole. Anything else is a
+        MatOrderError."""
+        _dtype(rows, cols, backend)
         try:
-            arr = np.array(entries, dtype=dtype)
-        except OverflowError as exc:  # an int beyond the float range
-            raise DomainError("float entry does not fit a double") from exc
+            if backend == FLOAT:
+                arr = np.asarray(entries)
+            else:
+                arr = np.array(entries, dtype=object)
         except (TypeError, ValueError) as exc:
             raise ShapeError("entry grid does not match declared shape") from exc
         if rows == 0 and arr.shape == (0,):
@@ -153,7 +169,7 @@ class Matrix:
         if arr.shape != (rows, cols):
             raise ShapeError("entry grid does not match declared shape")
         if backend == FLOAT:
-            self._set(FLOAT, arr.shape, "_entries", _finite(arr))
+            self._set(FLOAT, arr.shape, "_entries", _finite(_float_array(entries, arr)))
         else:
             self._set(EXACT, arr.shape, "_ints",
                       _integer_form([_parts(v) for v in arr.flat], arr.shape))
@@ -207,10 +223,9 @@ class Matrix:
 
     @classmethod
     def from_complex(cls, data: Sequence[Sequence]) -> "Matrix":
-        rows = [[_coerce_float(v) for v in row] for row in data]
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        return cls(m, n, FLOAT, rows)
+        m = len(data)
+        n = len(data[0]) if m else 0
+        return cls(m, n, FLOAT, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Matrix":
@@ -429,38 +444,6 @@ def _stack(join, mats, side: int, message: str) -> Matrix:
     # keeps a numerator prime to it, so the joined form is canonical
     return Matrix._from_ints(join([re for re, _ in parts]),
                              join([im for _, im in parts]), d, reduced=True)
-
-
-def _chain(*mats: Matrix) -> Matrix:
-    """``mats[0] @ mats[1] @ ...``, left to right, with one wrap and one
-    finiteness check at the end instead of one per product.
-
-    The backends and inner dimensions are checked first, with the messages
-    of ``@``. Each product is the one ``@`` forms, so the result is the
-    same bit for bit. A non-finite entry of a product spreads to a whole
-    row or column of the next (inf·0 is NaN), so a non-finite result is
-    the only sign of an overflow, unless a product is empty. A non-finite
-    result, an empty factor and the exact backend take the ``@`` path,
-    which warns and raises at the first overflowing product as before.
-    """
-    first = mats[0]
-    for x, y in zip(mats, mats[1:]):
-        if y.backend != first.backend:
-            raise BackendError("mixed backends: %s vs %s" % (first.backend, y.backend))
-        if x.cols != y.rows:
-            raise ShapeError("product needs inner dims to agree, got %s and %s"
-                             % ((first.rows, x.cols), y.shape))
-    if first.backend == EXACT or not all(m.rows and m.cols for m in mats):
-        return functools.reduce(operator.matmul, mats)
-    arr = first._entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in mats[1:]:
-            arr = arr @ m._entries
-    try:
-        return Matrix._wrap(arr)
-    except DomainError:
-        pass
-    return functools.reduce(operator.matmul, mats)
 
 
 def hstack(*mats: Matrix) -> Matrix:

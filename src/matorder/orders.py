@@ -43,9 +43,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
-                     _compare, _rank, float_norm, matrices_equal, rank,
-                     rank_floor, tolerance_bound)
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _compare,
+                     _rank, float_norm, matrices_equal, rank, rank_floor,
+                     tolerance_bound)
 from .pinv import (_inner_inverse, moore_penrose, projector_range,
                    projector_rowspace)
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -149,7 +149,7 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     verdict = col_ok and row_ok
 
     bd = moore_penrose(b, rank_factor)
-    p1, m1 = _compare(b @ bd @ a, a, tol)
+    p1, m1 = _compare(projector_range(b, rank_factor) @ a, a, tol)
     p2, m2 = _compare(a @ bd @ b, a, tol)
     proj_ok = p1 and p2
     ratios = [m1, m2]
@@ -161,7 +161,7 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
         sampled_ok = True
         for _ in range(inner_samples):
             w = _random_param(a.cols, a.rows, a.backend, rng)
-            g = _inner_inverse(b, bd, w)
+            g = _inner_inverse(b, w, rank_factor)
             s1, r1 = _compare(b @ g @ a, a, tol)
             s2, r2 = _compare(a @ g @ b, a, tol)
             ratios.extend([r1, r2])
@@ -195,7 +195,7 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """Diamond order: the space pre-order plus A B* A = A A* A."""
     _check_pair(a, b)
     space = leq_space(a, b, tol, rank_factor)
-    sandwich, ratio = _compare(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)
+    sandwich, ratio = _compare(a @ b.ct @ a, a @ a.ct @ a, tol)
     return OrderReport("diamond", space.verdict and sandwich, "definition", {
         "space": space.verdict, "sandwich": sandwich,
         "range_inclusion": space.witnesses["range_inclusion"],
@@ -215,7 +215,7 @@ def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     whose report raises DomainError there raises it here too.
     """
     _check_pair(a, b)
-    return (_compare(_chain(a, b.ct, a), _chain(a, a.ct, a), tol)[0]
+    return (_compare(a @ b.ct @ a, a @ a.ct @ a, tol)[0]
             and _ranges_leq(a, b, rank_factor))
 
 

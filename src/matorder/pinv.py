@@ -90,13 +90,14 @@ def inner_inverse(a: Matrix, w: Matrix) -> Matrix:
     """
     if w.shape != (a.cols, a.rows):
         raise ShapeError("parameter must be %sx%s" % (a.cols, a.rows))
-    return _inner_inverse(a, moore_penrose(a), w)
+    return _inner_inverse(a, w, RANK_FACTOR)
 
 
-def _inner_inverse(a: Matrix, ad: Matrix, w: Matrix) -> Matrix:
-    """``inner_inverse(a, w)`` for a given ``ad`` = a+, which a caller may
-    hold at its own rank factor."""
-    return ad + w - (ad @ a) @ w @ (a @ ad)
+def _inner_inverse(a: Matrix, w: Matrix, rank_factor: float) -> Matrix:
+    """``inner_inverse(a, w)`` at a caller's rank factor, from a+ and the
+    two projectors kept on a at that factor."""
+    return (moore_penrose(a, rank_factor) + w
+            - projector_rowspace(a, rank_factor) @ w @ projector_range(a, rank_factor))
 
 
 @memoized

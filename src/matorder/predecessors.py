@@ -21,8 +21,8 @@ from typing import Union
 
 from .decomp import HSForm, hartwig_spindelbock
 from .errors import BackendError, DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _chain,
-                     inverse, matrices_equal, tolerance_bound)
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, inverse,
+                     matrices_equal, tolerance_bound)
 from .orders import diamond_verdict
 from .pinv import moore_penrose
 
@@ -98,7 +98,7 @@ def _recover(a: Matrix, hs: HSForm, tol: float, rank_factor: float) -> tuple:
     n, r = hs.n, hs.r
     if a.shape != (n, n):
         raise ShapeError("matrix does not match the block form's size")
-    m = _chain(hs.u.ct, a, hs.u)
+    m = hs.u.ct @ a @ hs.u
     bottom = m.submatrix(r, n, 0, n)
     if bottom.frobenius() > tolerance_bound(tol, m.frobenius()):
         raise DomainError("matrix has weight outside the top block row")
@@ -150,8 +150,8 @@ def reverse_order_law(a: Matrix, b: Matrix, tol: float = EQ_TOL,
         moore_penrose(a @ b, rank_factor),
         moore_penrose(b, rank_factor) @ moore_penrose(a, rank_factor), tol)
     si = hs.sigma_inv()
-    lhs = moore_penrose(_chain(sit_pinv, hs.k, hs.sigma_diag()), rank_factor)
-    rhs = _chain(si, hs.k.ct, si, t)
+    lhs = moore_penrose(sit_pinv @ hs.k @ hs.sigma_diag(), rank_factor)
+    rhs = si @ hs.k.ct @ si @ t
     criterion = matrices_equal(lhs, rhs, tol)
     return direct, criterion
 
@@ -170,8 +170,8 @@ def is_bidagger(b: Matrix, tol: float = EQ_TOL,
     direct = matrices_equal(moore_penrose(b @ b, rank_factor), bd @ bd, tol)
     sd = hs.sigma_diag()
     si = hs.sigma_inv()
-    criterion = matrices_equal(moore_penrose(_chain(sd, hs.k, sd), rank_factor),
-                               _chain(si, hs.k.ct, si), tol)
+    criterion = matrices_equal(moore_penrose(sd @ hs.k @ sd, rank_factor),
+                               si @ hs.k.ct @ si, tol)
     return direct, criterion
 
 
@@ -184,6 +184,6 @@ def dagger_isotone(b: Matrix, t: Matrix, tol: float = EQ_TOL,
     direct = diamond_verdict(moore_penrose(a, rank_factor),
                              moore_penrose(b, rank_factor), tol, rank_factor)
     si = hs.sigma_inv()
-    crit = _chain(t, t.ct - Matrix.identity(hs.r, FLOAT), si, si, t)
+    crit = t @ (t.ct - Matrix.identity(hs.r, FLOAT)) @ si @ si @ t
     criterion = crit.frobenius() <= tolerance_bound(tol, t.frobenius() ** 2)
     return direct, criterion

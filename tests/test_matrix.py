@@ -1,12 +1,9 @@
 """Matrix type, arithmetic, rank, inverse, and the JSON wire format."""
 
-import functools
 import json
 import math
-import operator
 import random
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +19,7 @@ from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderErro
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix_to_json, moore_penrose, rank, vstack)
-from matorder.matrix import _chain, float_norm, float_svd, tolerance_bound
+from matorder.matrix import float_norm, float_svd, tolerance_bound
 from matorder.sampling import float_pair
 from matorder.scalars import GaussianRational, gaussian
 
@@ -87,6 +84,8 @@ def test_matmul_shapes_and_values():
     assert a @ c == Matrix(2, 1, EXACT, [[gaussian(3)], [gaussian(7)]])
     with pytest.raises(ShapeError):
         c @ a
+    with pytest.raises(BackendError, match="mixed backends"):
+        a @ b.to_float()
 
 
 # sympy's DomainMatrix over QQ_I, an independent implementation of
@@ -637,6 +636,29 @@ def test_float_entry_beyond_the_float_range_is_a_domain_error(make):
         make(10 ** 400)
 
 
+FLOAT_MAKERS = [
+    lambda v: Matrix.from_complex([[v]]),
+    lambda v: Matrix.identity(1, FLOAT).scale(v),
+    lambda v: Matrix(1, 1, FLOAT, [[v]]),
+    lambda v: Matrix.from_ndarray(np.array([[v]])),
+]
+FLOAT_MAKER_IDS = ["from_complex", "scale", "constructor", "from_ndarray"]
+
+
+@pytest.mark.parametrize("make", FLOAT_MAKERS, ids=FLOAT_MAKER_IDS)
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(1.5), np.complex64(1 + 1j),
+                                   Fraction(1, 3)], ids=repr)
+def test_every_float_constructor_takes_any_number(make, value):
+    assert make(value)[0, 0] == complex(value)
+
+
+@pytest.mark.parametrize("make", FLOAT_MAKERS, ids=FLOAT_MAKER_IDS)
+@pytest.mark.parametrize("value", ["1", "1+2j", None], ids=repr)
+def test_every_float_constructor_refuses_what_is_not_a_number(make, value):
+    with pytest.raises(MatOrderError, match="cannot place .* in a float matrix"):
+        make(value)
+
+
 def test_frobenius_of_huge_entries_is_finite():
     a = Matrix.from_complex([[1e200]])
     b = Matrix.from_complex([[3e200, 4e200j]])
@@ -655,72 +677,6 @@ def test_frobenius_of_huge_entries_is_finite():
 
 def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def _kernels(*mats):
-    return functools.reduce(operator.matmul, mats)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dims=st.lists(st.integers(0, 5), min_size=3, max_size=6),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_chain_is_the_product_bit_for_bit(dims, seed):
-    rng = np.random.default_rng(seed)
-    mats = [Matrix.from_ndarray(_random_complex(rng, r, c))
-            for r, c in zip(dims, dims[1:])]
-    # adjoints too, whose entries are laid out as transposed views
-    for chain in (mats, [m.ct for m in reversed(mats)]):
-        got, want = _chain(*chain), _kernels(*chain)
-        assert got.shape == want.shape
-        assert got._entries.tobytes() == want._entries.tobytes()
-        assert not got._entries.flags.writeable
-    exact = [Matrix(m.rows, m.cols, EXACT, np.round(m._entries.real).astype(int).tolist())
-             for m in mats]
-    assert _chain(*exact) == _kernels(*exact)
-
-
-def _outcome(product, mats) -> tuple:
-    """The exception and the warnings that computing ``product(*mats)`` gives."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            product(*mats)
-            error = None
-        except MatOrderError as exc:
-            error = (type(exc), str(exc))
-    return error, [(w.category, str(w.message)) for w in caught]
-
-
-M23 = Matrix.from_complex([[1, 2, 3], [4, 5, 6j]])
-BIG = Matrix.from_complex([[1e308, 0.0], [1.0, 1.0]])
-
-
-@pytest.mark.parametrize("mats", [
-    (M23, M23, M23),
-    (M23, M23.ct, M23, M23),
-    (M23.ct, M23, Matrix.zeros(2, 2, FLOAT)),
-    (M23, M23.ct, Matrix.exact([[1, 0], [0, 1]])),
-    (M23, Matrix.exact([[1], [0], [0]]), Matrix.zeros(1, 1, FLOAT)),
-], ids=["inner", "last-inner", "empty-shape", "backend", "middle-backend"])
-def test_chain_raises_what_the_product_raises(mats):
-    want, _ = _outcome(_kernels, mats)
-    assert want is not None
-    assert _outcome(_chain, mats) == (want, [])
-
-
-@pytest.mark.parametrize("mats", [
-    (BIG.ct, BIG, M23.ct.submatrix(0, 2, 0, 2)),
-    (M23.submatrix(0, 2, 0, 2), BIG.ct, BIG),
-    (BIG, BIG.ct, BIG, BIG.ct),
-    # the overflow leaves an empty result, or an empty factor between
-    (BIG.ct, BIG, Matrix.zeros(2, 0, FLOAT)),
-    (BIG.ct, BIG, Matrix.zeros(2, 0, FLOAT), Matrix.zeros(0, 2, FLOAT)),
-], ids=["first", "second", "every", "then-n-by-0", "through-0"])
-def test_chain_overflows_as_the_product_does(mats):
-    want = _outcome(_kernels, mats)
-    assert want[0][0] is DomainError
-    assert want[1][0] == (RuntimeWarning, "overflow encountered in matmul")
-    assert _outcome(_chain, mats) == want
 
 
 @pytest.mark.parametrize("view", [

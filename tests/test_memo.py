@@ -365,3 +365,22 @@ def test_only_the_matrix_module_touches_the_memo():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_memo"]
     assert touched == []
+
+
+def test_only_the_matrix_module_reads_float_entries():
+    # every float product is Matrix.__matmul__, which wraps and checks it;
+    # diamond_table's stacked sandwich is the one kernel outside matrix.py
+    sources = sorted(Path(matrix.__file__).parent.glob("*.py"))
+    touched = []
+    for path in sources:
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if path.name == "orders.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name == "diamond_table"
+                  for node in ast.walk(fn)}
+        touched += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_entries"
+                    and id(node) not in exempt]
+    assert touched == []

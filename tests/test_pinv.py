@@ -1,13 +1,17 @@
 """Pseudoinverse, inner inverses, projectors, and partial isometries."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matorder import (EXACT, FLOAT, Matrix, ShapeError, inner_inverse,
-                      is_partial_isometry, matrices_equal, moore_penrose,
-                      penrose_residuals, projector_range, projector_rowspace)
+                      is_partial_isometry, leq_space, matrices_equal,
+                      moore_penrose, penrose_residuals, projector_range,
+                      projector_rowspace)
+from matorder.sampling import float_pair
 
 SMALL = st.integers(min_value=-3, max_value=3)
 
@@ -103,6 +107,27 @@ def test_inner_inverse_sweep_always_solves(a, salt):
                       for _ in range(a.cols)])
     g = inner_inverse(a, w)
     assert a @ g @ a == a
+
+
+def test_sampled_inner_inverses_reuse_the_kept_projectors(monkeypatch):
+    # b b+ @ a and a @ b+ @ b form 4 products, and each sample 6 (two for
+    # g, four for its identities); b b+ and b+ b are formed once per b
+    _, a, b = float_pair(random.Random(1), 6)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return matmul(x, y)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    counts = []
+    for _ in range(2):
+        products.clear()
+        report = leq_space(a, b, inner_samples=5)
+        assert report.verdict and report.witnesses["inner_inverse_identities"]
+        counts.append(len(products))
+    assert counts == [4 + 5 * 6 + 1, 3 + 5 * 6]
 
 
 def test_projectors_are_hermitian_idempotents():

@@ -25,9 +25,13 @@ DIR/fuzz-exact and DIR/fuzz-float. Float margins and error messages are
 part of that output. It also writes DIR/margins: for every relation and
 alternative diamond route on every unit of the seed-1 exact-battery and
 float-battery pools, run in this process, the repr of the report's
-margin. So ``diff -r`` on the directories written by two checkouts shows
-every byte a change moves in what a user sees, and every library margin
-it moves.
+margin. And it writes DIR/family: for every unit of the seed-1
+diamond-family pool and each of its idempotents, the ``matrix_to_dict``
+JSON of the predecessor that ``build_predecessor`` builds and of its
+closed-form pseudoinverse, whose floats JSON writes to round-trip exactly.
+So ``diff -r`` on the directories written by two checkouts shows every
+byte a change moves in what a user sees, and every library margin and
+predecessor entry it moves.
 
 The pools come from perfbench/workloads.py, loaded without writing
 bytecode into perfbench/.
@@ -50,8 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import matorder.cli  # noqa: E402
-from matorder import orders  # noqa: E402
-from matorder.matrix import matrix_from_dict  # noqa: E402
+from matorder import orders, predecessors  # noqa: E402
+from matorder.matrix import matrix_from_dict, matrix_to_dict  # noqa: E402
 
 SEEDS = {"exact-battery": range(1, 4), "float-battery": range(1, 11),
          "diamond-family": range(1, 4), "cli": range(1, 2)}
@@ -148,9 +152,27 @@ def margin_lines(workloads, workdir: Path) -> list:
     return lines
 
 
+def family_lines(workloads, workdir: Path) -> list:
+    """'<key> p<i> <predecessor JSON> <pinv JSON>' for every idempotent of
+    every unit of the seed-1 diamond-family pool."""
+    lines = []
+    for key, unit in pool(workloads.WORKLOADS["diamond-family"], 1, workdir):
+        b = matrix_from_dict(unit["b"])
+        for i, t in enumerate(unit["ts"]):
+            try:
+                bundle = predecessors.build_predecessor(b, matrix_from_dict(t))
+                text = "%s %s" % (json.dumps(matrix_to_dict(bundle.predecessor)),
+                                  json.dumps(matrix_to_dict(bundle.predecessor_pinv)))
+            except Exception as exc:  # a raising call is recorded, not fatal
+                text = "raised %s" % type(exc).__name__
+            lines.append("%s p%d %s\n" % (key, i, text))
+    return lines
+
+
 def dump_stdout(directory: Path):
-    """Write the raw output of every cli command and fuzz run, and the
-    battery margins, under ``directory``, which must not exist yet."""
+    """Write the raw output of every cli command and fuzz run, the
+    battery margins and the family's predecessors under ``directory``,
+    which must not exist yet."""
     directory.mkdir(parents=True)
     inputs = directory / "inputs"
     workloads = load_workloads()
@@ -161,8 +183,10 @@ def dump_stdout(directory: Path):
     for key, argv in FUZZ.items():
         run_cli(argv, inputs, directory / key.replace("/", "-"))
     with tempfile.TemporaryDirectory() as tmp:
-        lines = margin_lines(workloads, Path(tmp))
-    (directory / "margins").write_text("".join(lines))
+        margins = margin_lines(workloads, Path(tmp))
+        family = family_lines(workloads, Path(tmp) / "diamond-family")
+    (directory / "margins").write_text("".join(margins))
+    (directory / "family").write_text("".join(family))
 
 
 def dumps(entries: dict) -> str:
