@@ -72,12 +72,6 @@ def _check_pair(a: Matrix, b: Matrix):
     a._check_same_shape(b, "order comparison")
 
 
-def _range_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
-    """Whether col(a) <= col(b)."""
-    return subspace_leq(column_space(a, rank_factor),
-                        column_space(b, rank_factor), rank_factor)
-
-
 def _max_margin(ratios) -> Optional[float]:
     vals = [r for r in ratios if r is not None]
     return max(vals) if vals else None
@@ -144,8 +138,8 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     sample is drawn, ``rng`` is left untouched and that witness is None.
     """
     _check_pair(a, b)
-    col_ok = _range_leq(a, b, rank_factor)
-    row_ok = _range_leq(a.ct, b.ct, rank_factor)
+    col_ok = subspace_leq(a, b, rank_factor)
+    row_ok = subspace_leq(a.ct, b.ct, rank_factor)
     verdict = col_ok and row_ok
 
     bd = moore_penrose(b, rank_factor)
@@ -221,8 +215,8 @@ def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 def _ranges_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
     """col(A) <= col(B) and then col(A*) <= col(B*), diamond's space terms."""
-    return (_range_leq(a, b, rank_factor)
-            and _range_leq(a.ct, b.ct, rank_factor))
+    return (subspace_leq(a, b, rank_factor)
+            and subspace_leq(a.ct, b.ct, rank_factor))
 
 
 def diamond_table(mats, tol: float = EQ_TOL,
@@ -279,7 +273,7 @@ def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """Left-star order: A*A = A*B and col(A) <= col(B)."""
     _check_pair(a, b)
     gram, ratio = _compare(a.ct @ a, a.ct @ b, tol)
-    incl = _range_leq(a, b, rank_factor)
+    incl = subspace_leq(a, b, rank_factor)
     return OrderReport("left-star", gram and incl, "definition", {
         "gram": gram, "range_inclusion": incl, "margin": _max_margin([ratio]),
     })
@@ -321,19 +315,16 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     diff = _snapped_diff(ad, bd, tol)
-    s_rows_a = column_space(a.ct, rank_factor)
-    s_diff = column_space(diff, rank_factor)
-    s_rows_b = column_space(b.ct, rank_factor)
-    inter = subspace_intersection_dim(s_rows_a, s_diff, rank_factor)
-    incl = subspace_leq(s_rows_a, s_rows_b, rank_factor)
+    inter = subspace_intersection_dim(a.ct, diff, rank_factor)
+    incl = subspace_leq(a.ct, b.ct, rank_factor)
     verdict = inter == 0 and incl
-    diff_in_b = subspace_leq(s_diff, s_rows_b, rank_factor)
-    split = (verdict and diff_in_b
-             and s_rows_a.cols + s_diff.cols == s_rows_b.cols)
+    diff_in_b = subspace_leq(diff, b.ct, rank_factor)
+    dim_a, dim_diff, dim_b = (column_space(x, rank_factor).cols
+                              for x in (a.ct, diff, b.ct))
     return OrderReport("diamond", verdict, "range-split", {
         "intersection_dim": inter, "row_range_inclusion": incl,
-        "dim_rows_a": s_rows_a.cols, "dim_diff": s_diff.cols,
-        "dim_rows_b": s_rows_b.cols, "direct_sum": split,
+        "dim_rows_a": dim_a, "dim_diff": dim_diff, "dim_rows_b": dim_b,
+        "direct_sum": verdict and diff_in_b and dim_a + dim_diff == dim_b,
     })
 
 
@@ -359,7 +350,7 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     r_diff = _rank(bd - ad, rank_factor, floor)
     r_proj = _rank((eye - projector_rowspace(a, rank_factor)) @ bd,
                    rank_factor, floor)
-    incl = _range_leq(a.ct, b.ct, rank_factor)
+    incl = subspace_leq(a.ct, b.ct, rank_factor)
     return OrderReport("diamond", r_diff == r_proj and incl, "rank", {
         "rank_dagger_diff": r_diff, "rank_complement_product": r_proj,
         "row_range_inclusion": incl,

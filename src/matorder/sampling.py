@@ -158,14 +158,17 @@ def random_spectrum_matrix(m: int, n: int, r: int, rng: random.Random) -> Matrix
     return Matrix.from_ndarray(arr)
 
 
-def random_partial_isometry(m: int, n: int, k: int, rng: random.Random) -> Matrix:
-    """u [[I_k, 0], [0, 0]] v* for random unitary frames u, v."""
-    u = random_unitary(m, rng)
-    v = random_unitary(n, rng)
+def _partial_isometry(u: Matrix, v: Matrix, k: int) -> Matrix:
+    """u [[I_k, 0], [0, 0]] v* for unitary frames u, v."""
     if k == 0:
-        return Matrix.zeros(m, n, FLOAT)
+        return Matrix.zeros(u.rows, v.rows, FLOAT)
     return Matrix.from_ndarray(
         u.to_ndarray()[:, :k] @ v.to_ndarray()[:, :k].conj().T)
+
+
+def random_partial_isometry(m: int, n: int, k: int, rng: random.Random) -> Matrix:
+    """u [[I_k, 0], [0, 0]] v* for random unitary frames u, v."""
+    return _partial_isometry(random_unitary(m, rng), random_unitary(n, rng), k)
 
 
 def partial_isometry_pair(rng: random.Random, m: int, n: int):
@@ -173,15 +176,11 @@ def partial_isometry_pair(rng: random.Random, m: int, n: int):
     about half the time and independent otherwise."""
     kmax = min(m, n)
     if rng.random() < 0.5:
-        u = random_unitary(m, rng).to_ndarray()
-        v = random_unitary(n, rng).to_ndarray()
+        u = random_unitary(m, rng)
+        v = random_unitary(n, rng)
         j = rng.randint(0, kmax)
         k = rng.randint(j, kmax)
-        a = Matrix.from_ndarray(u[:, :j] @ v[:, :j].conj().T) if j else \
-            Matrix.zeros(m, n, FLOAT)
-        b = Matrix.from_ndarray(u[:, :k] @ v[:, :k].conj().T) if k else \
-            Matrix.zeros(m, n, FLOAT)
-        return "nested", a, b
+        return "nested", _partial_isometry(u, v, j), _partial_isometry(u, v, k)
     a = random_partial_isometry(m, n, rng.randint(0, kmax), rng)
     b = random_partial_isometry(m, n, rng.randint(0, kmax), rng)
     return "independent", a, b

@@ -1,13 +1,14 @@
 """Column spaces and subspace comparisons.
 
-A subspace of C^m is carried around as a plain m-row basis Matrix, whose
-columns ``column_space`` makes linearly independent. On the exact backend,
-inclusion and intersection are decided against a left-null basis X of one
-side's basis T, whose columns span null(T*): a vector lies in col(T)
-exactly when it is orthogonal to every column of X (Ben-Israel and
-Greville, *Generalized Inverses*, 2nd ed., 2003, ch. 1). X is read off
-T*'s kept elimination and kept on T, so the calls that share a basis share
-X. On the float backend both reduce to rank computations on stacked bases.
+A subspace of C^m is the column space of any m-row Matrix; its columns
+need not be independent. ``column_space`` returns a basis matrix whose
+columns are. On the exact backend, inclusion and intersection are decided
+against a left-null basis X of one side T, whose columns span null(T*): a
+vector lies in col(T) exactly when it is orthogonal to every column of X
+(Ben-Israel and Greville, *Generalized Inverses*, 2nd ed., 2003, ch. 1).
+X is read off T*'s kept elimination and kept on T, so the calls that
+share a matrix share X. On the float backend both reduce to rank
+computations on the stacked ``column_space`` bases of the two sides.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import BackendError, ShapeError
 from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, _kept,
-                     _read_only, float_svd, hstack, memoized, rank)
+                     float_svd, hstack, memoized, rank)
 
 
 @memoized
@@ -39,9 +40,9 @@ def _check_comparable(s: Matrix, t: Matrix):
         raise BackendError("cannot compare subspaces across backends")
 
 
-def _left_null(t: Matrix, key: str) -> tuple:
-    """``(re, im)``: Gaussian-integer columns re + i·im spanning null(t*),
-    read off the kept elimination of t*; kept on t under ``key``.
+def _left_null(t: Matrix, key: str) -> Matrix:
+    """A Gaussian-integer matrix whose columns span null(t*), read off the
+    kept elimination of t*; kept on t under ``key``.
 
     The final rows of that elimination are the reduced row echelon form of
     t* times ``last``, so for each free column f the vector with x[f] =
@@ -56,53 +57,41 @@ def _left_null(t: Matrix, key: str) -> tuple:
     xi[list(pivots)] = -im[:len(pivots), free]
     xr[free, range(len(free))] = lr
     xi[free, range(len(free))] = li
-    return _read_only(xr), _read_only(xi)
-
-
-def _adjoint_times(s: Matrix, x: tuple) -> tuple:
-    """The numerators ``(re, im)`` of s* x for the Gaussian-integer matrix
-    x = (xr, xi): s* x times s's common denominator, which has the same
-    zeros and the same rank."""
-    sr, si, _ = s.integer_form
-    xr, xi = x
-    return sr.T @ xr + si.T @ xi, sr.T @ xi - si.T @ xr
+    return Matrix._from_ints(xr, xi, 1)
 
 
 def subspace_leq(s: Matrix, t: Matrix,
                  rank_factor: float = RANK_FACTOR) -> bool:
-    """Whether col(s) is contained in col(t), for basis matrices s and t.
+    """Whether col(s) is contained in col(t), for any matrices s and t
+    with the same number of rows.
 
     Exact: col(s) ⊆ col(t) exactly when s* X = 0 for the kept left-null
-    basis X of t, one product on integer numerators, whatever the rank of
-    either side. Float: s lies in col(t) when appending s to t does not
-    raise the rank above t's column count, so t's columns must be
-    independent, as ``column_space``'s are.
+    basis X of t. Float: with S and T the ``column_space`` bases of s and
+    t, S lies in col(T) when appending S to T does not raise the rank
+    above T's column count.
     """
     _check_comparable(s, t)
-    if s.cols == 0:
-        return True
     if s.backend == EXACT:
-        re, im = _adjoint_times(s, _kept(t, "left_null", _left_null))
-        return not (re.any() or im.any())
-    return rank(hstack(t, s), rank_factor) == t.cols
+        return (s.ct @ _kept(t, "left_null", _left_null)).is_zero()
+    s, t = column_space(s, rank_factor), column_space(t, rank_factor)
+    return s.cols == 0 or rank(hstack(t, s), rank_factor) == t.cols
 
 
 def subspace_intersection_dim(s: Matrix, t: Matrix,
                               rank_factor: float = RANK_FACTOR) -> int:
-    """dim(col(s) ∩ col(t)), for basis matrices s and t.
+    """dim(col(s) ∩ col(t)), for any matrices s and t with the same number
+    of rows.
 
-    Exact: t.cols - rank(t* X), for the kept left-null basis X of s, so
-    the side that recurs goes first. Float: s.cols + t.cols - rank([s | t]).
-    Both read dimensions as column counts, so the columns of t, and on the
-    float backend those of s, must be independent, as ``column_space``'s
-    are.
+    Exact: rank(t) - rank(t* X), for the kept left-null basis X of s, so
+    the side that recurs goes first. Float: with S and T the
+    ``column_space`` bases of s and t, S.cols + T.cols - rank([S | T]).
     """
     _check_comparable(s, t)
+    if s.backend == EXACT:
+        return rank(t) - rank(t.ct @ _kept(s, "left_null", _left_null))
+    s, t = column_space(s, rank_factor), column_space(t, rank_factor)
     if s.cols == 0 or t.cols == 0:
         return 0
-    if s.backend == EXACT:
-        re, im = _adjoint_times(t, _kept(s, "left_null", _left_null))
-        return t.cols - rank(Matrix._from_ints(re, im, 1))
     return s.cols + t.cols - rank(hstack(s, t), rank_factor)
 
 

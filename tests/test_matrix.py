@@ -290,6 +290,12 @@ def test_rank_oracles():
     assert rank(Matrix.from_complex([[1, 1], [1, 1]])) == 1
 
 
+def test_rank_counts_only_values_above_the_cutoff():
+    # with rank_factor 0 the cutoff is 0, and a zero singular value is not rank
+    assert rank(Matrix.from_complex([[1, 0], [0, 0]]), rank_factor=0.0) == 1
+    assert rank(Matrix.from_complex([[1, 0], [0, 1]]), rank_factor=0.0) == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(exact_mats())
 def test_rank_agrees_across_backends(a):

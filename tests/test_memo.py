@@ -367,6 +367,18 @@ def test_only_the_matrix_module_touches_the_memo():
     assert touched == []
 
 
+def test_only_the_matrix_module_reads_the_integer_form():
+    # the exact numerators and denominator are matrix.py's own format;
+    # every other module computes with Matrix operations
+    sources = sorted(Path(matrix.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    touched = ["%s:%d" % (path.name, node.lineno)
+               for path in sources if path.name != "matrix.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "integer_form"]
+    assert touched == []
+
+
 def test_only_the_matrix_module_reads_float_entries():
     # every float product is Matrix.__matmul__, which wraps and checks it;
     # diamond_table's stacked sandwich is the one kernel outside matrix.py

@@ -80,6 +80,33 @@ def test_recover_rejects_outsiders():
         recover_idempotent(Matrix.exact([[1, 0], [0, 0]]), hs)
 
 
+def test_recover_rejects_weight_below_the_top_block_row():
+    hs = hartwig_spindelbock(Matrix.from_complex([[2, 0], [0, 0]]))
+    with pytest.raises(DomainError, match="weight outside the top block row"):
+        recover_idempotent(Matrix.from_complex([[0, 0], [0, 1]]), hs)
+
+
+def test_recover_rejects_a_top_row_off_the_family():
+    # [a11 a12] = s [k l] + e with e orthogonal to the row [k l]: the core
+    # a11 k* + a12 l* is s, so t = 1 is idempotent, yet (s^-1 t)+ [k l]
+    # misses e
+    hs = hartwig_spindelbock(Matrix.from_complex([[2, 0], [0, 0]]))
+    assert (hs.n, hs.r) == (2, 1)
+    k, l = hs.k.to_ndarray()[0, 0], hs.l.to_ndarray()[0, 0]
+    s = hs.sigma[0]
+    top = [s * k - l.conjugate(), s * l + k.conjugate()]
+    a = hs.u @ Matrix.from_complex([top, [0, 0]]) @ hs.u.ct
+    with pytest.raises(DomainError, match="not in the predecessor family"):
+        recover_idempotent(a, hs)
+
+
+def test_idempotent_parameter_must_be_float():
+    with pytest.raises(BackendError, match="idempotent parameter"):
+        diamond_predecessor(DIAG, Matrix.identity(2, EXACT))
+    with pytest.raises(BackendError, match="idempotent parameter"):
+        build_predecessor(DIAG, Matrix.exact([[1, 1], [0, 0]]))
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_bad_tolerance_is_reported_as_such(tol):
     hs = hartwig_spindelbock(DIAG)

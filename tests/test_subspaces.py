@@ -74,26 +74,57 @@ def gaussian_matrices(draw, m: int):
 
 @st.composite
 def exact_subspace_pairs(draw):
-    """Column spaces (S, T) in C^m, m in 1..5; S is col(T·Y) half the time,
-    for a Y of any kind above, rank-deficient ones included."""
+    """Matrices (S, T) with m rows, m in 1..5: raw half the time, their
+    ``column_space`` bases otherwise. S is T·Y half the time, for a Y of any
+    kind above, rank-deficient ones included."""
     m = draw(st.integers(1, 5))
     t = draw(gaussian_matrices(m))
     if draw(st.booleans()):
         s = t @ draw(gaussian_matrices(t.cols)) if t.cols else Matrix.zeros(m, 2)
     else:
         s = draw(gaussian_matrices(m))
+    if draw(st.booleans()):
+        return s, t
     return column_space(s), column_space(t)
+
+
+def answers(s, t) -> tuple:
+    return (subspace_leq(s, t), subspace_leq(t, s),
+            subspace_intersection_dim(s, t), subspace_intersection_dim(t, s))
+
+
+def stacked_answers(s, t) -> tuple:
+    """``answers`` on exact S and T, read off the ranks of S, T and the
+    stacked matrices."""
+    rs, rt, rst = rank(s), rank(t), rank(hstack(s, t))
+    return rank(hstack(t, s)) == rt, rst == rs, rs + rt - rst, rs + rt - rst
 
 
 @settings(max_examples=300, deadline=None)
 @given(exact_subspace_pairs())
 def test_exact_inclusion_and_intersection_match_the_stacked_rank(pair):
     s, t = pair
-    assert subspace_leq(s, t) == (rank(hstack(t, s)) == t.cols)
-    assert subspace_leq(t, s) == (rank(hstack(s, t)) == s.cols)
-    stacked = s.cols + t.cols - rank(hstack(s, t))
-    assert subspace_intersection_dim(s, t) == stacked
-    assert subspace_intersection_dim(t, s) == stacked
+    assert answers(s, t) == stacked_answers(s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_subspace_pairs())
+def test_float_inclusion_and_intersection_match_the_exact_answer(pair):
+    s, t = pair
+    assert answers(s.to_float(), t.to_float()) == stacked_answers(s, t)
+
+
+@pytest.mark.parametrize("make", [Matrix.exact, Matrix.from_complex],
+                         ids=["exact", "float"])
+def test_dependent_columns_are_read_as_their_span(make):
+    e2 = make([[0], [1]])
+    e1e1 = make([[1, 1], [0, 0]])
+    plane = make([[1, 0, 1], [0, 1, 1]])
+    assert not subspace_leq(e2, e1e1)
+    assert subspace_intersection_dim(e2, e1e1) == 0
+    assert subspace_intersection_dim(e1e1, e2) == 0
+    assert subspace_intersection_dim(plane, plane) == 2
+    assert subspace_intersection_dim(plane, e1e1) == 1
 
 
 def test_subspace_errors():

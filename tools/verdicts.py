@@ -22,15 +22,16 @@ DIR/inputs, runs each of its commands and the two fuzz runs as a
 ``python -m matorder.cli`` process in that directory, and writes each
 run's argv, raw stdout, raw stderr and exit code to DIR/cli/NN or
 DIR/fuzz-exact and DIR/fuzz-float. Float margins and error messages are
-part of that output. It also writes DIR/margins: for every relation and
+part of that output. It also writes DIR/reports: for every relation and
 alternative diamond route on every unit of the seed-1 exact-battery and
-float-battery pools, run in this process, the repr of the report's
-margin. And it writes DIR/family: for every unit of the seed-1
+float-battery pools, run in this process, the sorted-key JSON of the
+report's ``to_dict()``, every witness and margin included, or the type of
+the exception the call raised. And it writes DIR/family: for every unit of the seed-1
 diamond-family pool and each of its idempotents, the ``matrix_to_dict``
 JSON of the predecessor that ``build_predecessor`` builds and of its
 closed-form pseudoinverse, whose floats JSON writes to round-trip exactly.
 So ``diff -r`` on the directories written by two checkouts shows every
-byte a change moves in what a user sees, and every library margin and
+byte a change moves in what a user sees, and every library report and
 predecessor entry it moves.
 
 The pools come from perfbench/workloads.py, loaded without writing
@@ -59,7 +60,7 @@ from matorder.matrix import matrix_from_dict, matrix_to_dict  # noqa: E402
 
 SEEDS = {"exact-battery": range(1, 4), "float-battery": range(1, 11),
          "diamond-family": range(1, 4), "cli": range(1, 2)}
-MARGIN_POOLS = ("exact-battery", "float-battery")
+REPORT_POOLS = ("exact-battery", "float-battery")
 FUZZ = {"fuzz/exact": ["fuzz", "--trials", "200"],
         "fuzz/float": ["--backend", "float", "fuzz", "--trials", "100"]}
 
@@ -127,27 +128,27 @@ def run_cli(argv, cwd: Path, out: Path):
     (out / "exit").write_text("%d\n" % proc.returncode)
 
 
-def margin(name: str, a, b) -> str:
-    """The repr of the margin in the report of the relation or diamond
-    route ``name`` (a workload operation name) on (a, b)."""
+def report(name: str, a, b) -> str:
+    """The sorted-key JSON of the report of the relation or diamond route
+    ``name`` (a workload operation name) on (a, b)."""
     if name.startswith("diamond/"):
         fn = orders.DIAMOND_ROUTES[name.split("/", 1)[1]]
     else:
         fn = orders.RELATIONS[name]
     try:
-        return repr(fn(a, b).witnesses.get("margin"))
+        return json.dumps(fn(a, b).to_dict(), sort_keys=True)
     except Exception as exc:  # a raising call is recorded, not fatal
         return "raised %s" % type(exc).__name__
 
 
-def margin_lines(workloads, workdir: Path) -> list:
-    """'<key> <operation> <margin>' for every relation and route on every
+def report_lines(workloads, workdir: Path) -> list:
+    """'<key> <operation> <report>' for every relation and route on every
     unit of the seed-1 battery pools."""
     lines = []
-    for name in MARGIN_POOLS:
+    for name in REPORT_POOLS:
         for key, unit in pool(workloads.WORKLOADS[name], 1, workdir / name):
             a, b = matrix_from_dict(unit["a"]), matrix_from_dict(unit["b"])
-            lines += ["%s %s %s\n" % (key, op, margin(op, a, b))
+            lines += ["%s %s %s\n" % (key, op, report(op, a, b))
                       for op in workloads.CALL_NAMES]
     return lines
 
@@ -171,7 +172,7 @@ def family_lines(workloads, workdir: Path) -> list:
 
 def dump_stdout(directory: Path):
     """Write the raw output of every cli command and fuzz run, the
-    battery margins and the family's predecessors under ``directory``,
+    battery reports and the family's predecessors under ``directory``,
     which must not exist yet."""
     directory.mkdir(parents=True)
     inputs = directory / "inputs"
@@ -183,9 +184,9 @@ def dump_stdout(directory: Path):
     for key, argv in FUZZ.items():
         run_cli(argv, inputs, directory / key.replace("/", "-"))
     with tempfile.TemporaryDirectory() as tmp:
-        margins = margin_lines(workloads, Path(tmp))
+        reports = report_lines(workloads, Path(tmp))
         family = family_lines(workloads, Path(tmp) / "diamond-family")
-    (directory / "margins").write_text("".join(margins))
+    (directory / "reports").write_text("".join(reports))
     (directory / "family").write_text("".join(family))
 
 
