@@ -16,7 +16,9 @@ singular values above a spectral cutoff, or above a caller's floor
 (``_rank``): ``rank_floor``, such a bound raised to the operands' own
 spectral cutoff. Each arithmetic kernel is one numpy expression on the
 stored arrays. What a matrix keeps of its own (adjoint, elimination, SVD,
-the ``memoized`` factorizations) is read and written only by ``_kept``.
+the ``memoized`` factorizations) is read and written only by ``_kept``, and
+so is what it keeps for a partner: a value built from the two matrices,
+owned by the partner's ``token``.
 """
 
 from __future__ import annotations
@@ -462,7 +464,10 @@ def _kept(a: Matrix, key, build, owner=None):
     """``build(a, key)``, an immutable value other than None, kept on a
     under ``key`` from the first call on: the one reader and writer of
     ``Matrix._memo``. A value kept for an ``owner`` is returned only to it;
-    another owner builds its own, which replaces it."""
+    another owner builds its own, which replaces it, so a key holds one
+    value. A value built from a and another matrix b is kept for
+    ``token(b)``, which refers to neither matrix, so no memo forms a
+    reference cycle."""
     memo = a._memo
     kept = memo.get(key)
     if owner is None:
@@ -472,6 +477,17 @@ def _kept(a: Matrix, key, build, owner=None):
     if kept is None or kept[0] is not owner:
         kept = memo[key] = owner, build(a, key)
     return kept[1]
+
+
+def token(a: Matrix) -> object:
+    """A plain object kept on a that stands for a as the owner of a value
+    another matrix keeps for it (see ``_kept``). It lives as long as a or a
+    value kept for it, so no later matrix can be mistaken for a."""
+    return _kept(a, "token", _new_token)
+
+
+def _new_token(a: Matrix, key: str) -> object:
+    return object()
 
 
 def memoized(f):
@@ -513,7 +529,7 @@ def _compare(a: Matrix, b: Matrix, tol: float) -> tuple:
     if a.backend == EXACT:
         return a == b, None
     bound = tolerance_bound(tol, a.frobenius(), b.frobenius())
-    diff = (a - b).frobenius()
+    diff = float_norm(_finite(a._entries - b._entries))
     if bound:
         margin = diff / bound
     else:

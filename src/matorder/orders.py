@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _compare,
-                     _rank, float_norm, matrices_equal, rank, rank_floor,
-                     tolerance_bound)
+                     _kept, _rank, float_norm, matrices_equal, rank,
+                     rank_floor, token, tolerance_bound)
 from .pinv import (_inner_inverse, moore_penrose, projector_range,
                    projector_rowspace)
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -101,7 +101,8 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 
 
 def _snapped_diff(a: Matrix, b: Matrix, tol: float) -> Matrix:
-    """B - A, or exact zero on the float backend when A equals B.
+    """``_difference(a, b)``, or exact zero on the float backend when A
+    equals B.
 
     The difference of two equal float matrices is pure roundoff; the SVD
     rank cutoff is relative to the matrix's own largest singular value, so
@@ -109,7 +110,14 @@ def _snapped_diff(a: Matrix, b: Matrix, tol: float) -> Matrix:
     """
     if a.backend == FLOAT and matrices_equal(a, b, tol):
         return Matrix.zeros(a.rows, a.cols, FLOAT)
-    return b - a
+    return _difference(a, b)
+
+
+def _difference(a: Matrix, b: Matrix) -> Matrix:
+    """B - A, kept on b under ``"difference"`` for ``token(a)``: the routes
+    that rank B+ - A+ or take its column space share one object, and with
+    it, on the exact backend, one elimination."""
+    return _kept(b, "difference", lambda b, key: b - a, owner=token(a))
 
 
 def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -347,7 +355,7 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     if a.backend == FLOAT:
         floor = rank_floor(tol, rank_factor, bd.shape, ad.frobenius(),
                            bd.frobenius())
-    r_diff = _rank(bd - ad, rank_factor, floor)
+    r_diff = _rank(_difference(ad, bd), rank_factor, floor)
     r_proj = _rank((eye - projector_rowspace(a, rank_factor)) @ bd,
                    rank_factor, floor)
     incl = subspace_leq(a.ct, b.ct, rank_factor)

@@ -18,7 +18,7 @@ from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderErro
                       Matrix, ShapeError, block, column_space, exact_rref, hstack,
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
-                      matrix_to_json, moore_penrose, rank, vstack)
+                      matrix, matrix_to_json, moore_penrose, rank, vstack)
 from matorder.matrix import float_norm, float_svd, tolerance_bound
 from matorder.sampling import float_pair
 from matorder.scalars import GaussianRational, gaussian
@@ -679,6 +679,16 @@ def test_frobenius_of_huge_entries_is_finite():
     # |a| + |b| overflows, so no relative bound separates these two
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
         matrices_equal(Matrix.from_complex([[1e308]]), Matrix.from_complex([[9e307]]))
+
+
+def test_compare_refuses_a_non_finite_difference(monkeypatch):
+    # |a - b| <= |a| + |b|, so the bound overflows first; held finite, the
+    # difference overflows as the subtraction kernel's does
+    monkeypatch.setattr(matrix, "tolerance_bound", lambda tol, *norms: 1.0)
+    a, b = Matrix.from_complex([[1e308]]), Matrix.from_complex([[-1e308]])
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(DomainError, match="float entries must be finite"):
+        matrices_equal(a, b)
 
 
 def _random_complex(rng, rows, cols):

@@ -1,13 +1,15 @@
 """Per-matrix memo: the adjoint, pseudoinverse, column space, block form,
 float SVD, exact integer form and exact elimination are computed once per
-Matrix object, and the diamond predecessor once per idempotent and block
-form; exact entries are built only when read, and none of it changes a
-result."""
+Matrix object, the diamond predecessor once per idempotent and block
+form, and a range inclusion and a difference once per pair; exact entries
+are built only when read, and none of it changes a result."""
 
 import ast
 import dataclasses
+import gc
 import math
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from matorder import (DIAMOND_ROUTES, RELATIONS, BackendError, Matrix,
                       pinv, random_idempotent, rank, reverse_order_law,
                       subspace_leq, subspaces, svd, vstack)
 from matorder.scalars import GaussianRational
-from matorder.sampling import exact_pair, random_base_matrix
+from matorder.sampling import exact_pair, float_pair, random_base_matrix
 
 ROUTES = list(RELATIONS.items()) + [("diamond/" + k, f)
                                     for k, f in DIAMOND_ROUTES.items()]
@@ -256,6 +258,98 @@ def test_exact_pair_calls_never_eliminate_a_stacked_basis(monkeypatch):
     stacked = [hstack(x, y) for s, t in compared for x, y in ((s, t), (t, s))]
     assert len(compared) >= 9
     assert not [m for m in eliminated for x in stacked if m == x]
+
+
+def _pair_calls(a: Matrix, b: Matrix):
+    """The six relations and the three alternative diamond routes."""
+    for name, fn in ROUTES:
+        if name != "diamond/definition":
+            fn(a, b)
+
+
+def _random_float_pair():
+    seed = next(s for s in range(100)
+                if float_pair(random.Random(s), 6)[0] == "random")
+    return float_pair(random.Random(seed), 6)[1:]
+
+
+def test_float_pair_calls_decompose_each_stacked_basis_once(monkeypatch):
+    a, b = _random_float_pair()
+    ranked = []
+    real = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            ranked.append((x.shape, np.array(x).tobytes()))
+        return real(x, *args, **kwargs)
+
+    stacked = []
+    real_hstack = subspaces.hstack
+
+    def recorded(*mats):
+        stacked.append(real_hstack(*mats))
+        return stacked[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(subspaces, "hstack", recorded)
+    _pair_calls(a, b)
+    # four stacked bases; three ranks each in minus and dagger-minus, two
+    # in the rank route, whose rank(B+ - A+) repeats dagger-minus's
+    assert len(stacked) == 4
+    assert len(ranked) == 12
+    for m in stacked:
+        assert ranked.count((m.shape, m.to_ndarray().tobytes())) == 1
+
+
+def test_exact_pair_calls_eliminate_the_dagger_difference_once(monkeypatch):
+    seed = next(s for s in range(100)
+                if exact_pair(random.Random(s), 4, 3)[0] == "random")
+    _, a, b = exact_pair(random.Random(seed), 4, 3)
+    diff = moore_penrose(_fresh(b)) - moore_penrose(_fresh(a))
+    assert not diff.is_zero()
+    eliminated = _record_eliminations(monkeypatch)
+    _pair_calls(a, b)
+    assert sum(m == diff for m in eliminated) == 1
+
+
+@pytest.mark.parametrize("backend", [lambda m: m, Matrix.to_float],
+                         ids=["exact", "float"])
+def test_pair_values_go_only_to_their_partner(backend):
+    s = backend(Matrix.exact([[1], [1], [0]]))
+    inside = [[1, 0], [0, 1], [0, 0]]
+    outside = [[1, 0], [0, 0], [0, 1]]
+    t1, t2 = (backend(Matrix.exact(x)) for x in (inside, outside))
+    for t in (t1, t2, t1):
+        assert subspace_leq(s, t) == subspace_leq(_fresh(s), _fresh(t))
+    assert subspace_leq(s, t1) and not subspace_leq(s, t2)
+    # a partner built after the last one is freed gets its own verdict,
+    # also where it takes the freed partner's place in memory
+    for i in range(6):
+        t = backend(Matrix.exact((inside, outside)[i % 2]))
+        assert subspace_leq(s, t) == (i % 2 == 0)
+        del t
+    b = backend(Matrix.exact([[1, 2], [0, 1], [3, 0]]))
+    a1 = backend(Matrix.exact([[1, 0], [0, 0], [0, 0]]))
+    a2 = backend(Matrix.exact([[0, 0], [0, 1], [1, 0]]))
+    for a in (a1, a2, a1):
+        diff = orders._snapped_diff(a, b, 1e-9)
+        assert diff == orders._snapped_diff(_fresh(a), _fresh(b), 1e-9)
+        assert diff == b - a
+    assert orders._snapped_diff(a1, b, 1e-9) is diff
+    assert [k for k in s._memo if k[0] == "leq"] == [("leq", 64.0)]
+
+
+def test_pair_values_form_no_reference_cycle():
+    a, b = _random_float_pair()
+    gc.disable()
+    try:
+        _pair_calls(a, b)
+        _pair_calls(b, a)
+        refs = [weakref.ref(a._entries), weakref.ref(b._entries)]
+        del a, b
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_one_svd_per_float_matrix(monkeypatch):
