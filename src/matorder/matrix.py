@@ -18,7 +18,8 @@ spectral cutoff. Each arithmetic kernel is one numpy expression on the
 stored arrays. What a matrix keeps of its own (adjoint, elimination, SVD,
 the ``memoized`` factorizations) is read and written only by ``_kept``, and
 so is what it keeps for a partner: a value built from the two matrices,
-owned by the partner's ``token``.
+owned by a weak reference to the partner, as an adjoint refers weakly
+back to its source (``a.ct.ct is a``), so no memo forms a reference cycle.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import json
 import math
 import numbers
+import weakref
 from fractions import Fraction
 from typing import Sequence
 
@@ -150,7 +152,8 @@ class Matrix:
     SVD, the ``memoized`` factorizations and other modules keep on it.
     """
 
-    __slots__ = ("rows", "cols", "backend", "_entries", "_ints", "_memo")
+    __slots__ = ("rows", "cols", "backend", "_entries", "_ints", "_memo",
+                 "__weakref__")
 
     def __init__(self, rows: int, cols: int, backend: str, entries):
         """Copy ``entries``, a nested sequence or an array, into a new
@@ -355,8 +358,9 @@ class Matrix:
 
     @property
     def ct(self) -> "Matrix":
-        """The conjugate transpose, computed once per matrix. It keeps no
-        link back, so ``a.ct.ct`` is a new matrix equal to ``a``."""
+        """The conjugate transpose, computed once per matrix. The adjoint
+        refers weakly back to its source, so ``a.ct.ct is a`` while a
+        lives; once a is gone, ``a.ct.ct`` is a new matrix equal to it."""
         return _kept(self, "ct", _adjoint)
 
     @property
@@ -465,29 +469,22 @@ def _kept(a: Matrix, key, build, owner=None):
     under ``key`` from the first call on: the one reader and writer of
     ``Matrix._memo``. A value kept for an ``owner`` is returned only to it;
     another owner builds its own, which replaces it, so a key holds one
-    value. A value built from a and another matrix b is kept for
-    ``token(b)``, which refers to neither matrix, so no memo forms a
-    reference cycle."""
+    value. The owner is held by a weak reference, which no later object
+    can match once the owner is gone, so a value built from a and another
+    matrix b is kept for b without a reference cycle. A ``weakref.ref``
+    kept under a key stands for its referent on later calls, and the value
+    is built again once the referent is gone."""
     memo = a._memo
     kept = memo.get(key)
     if owner is None:
+        if type(kept) is weakref.ref:
+            kept = kept()
         if kept is None:
             kept = memo[key] = build(a, key)
         return kept
-    if kept is None or kept[0] is not owner:
-        kept = memo[key] = owner, build(a, key)
+    if kept is None or kept[0]() is not owner:
+        kept = memo[key] = weakref.ref(owner), build(a, key)
     return kept[1]
-
-
-def token(a: Matrix) -> object:
-    """A plain object kept on a that stands for a as the owner of a value
-    another matrix keeps for it (see ``_kept``). It lives as long as a or a
-    value kept for it, so no later matrix can be mistaken for a."""
-    return _kept(a, "token", _new_token)
-
-
-def _new_token(a: Matrix, key: str) -> object:
-    return object()
 
 
 def memoized(f):
@@ -507,7 +504,9 @@ def memoized(f):
 
 
 def _adjoint(a: Matrix, key: str) -> Matrix:
-    return a.conj_transpose()
+    adjoint = a.conj_transpose()
+    _kept(adjoint, key, lambda adjoint, key: weakref.ref(a))
+    return adjoint
 
 
 # -- equality and rank -------------------------------------------------

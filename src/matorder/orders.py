@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _compare,
                      _kept, _rank, float_norm, matrices_equal, rank,
-                     rank_floor, token, tolerance_bound)
+                     rank_floor, tolerance_bound)
 from .pinv import (_inner_inverse, moore_penrose, projector_range,
                    projector_rowspace)
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -114,10 +114,10 @@ def _snapped_diff(a: Matrix, b: Matrix, tol: float) -> Matrix:
 
 
 def _difference(a: Matrix, b: Matrix) -> Matrix:
-    """B - A, kept on b under ``"difference"`` for ``token(a)``: the routes
-    that rank B+ - A+ or take its column space share one object, and with
-    it, on the exact backend, one elimination."""
-    return _kept(b, "difference", lambda b, key: b - a, owner=token(a))
+    """B - A, kept on b under ``"difference"`` for a: the routes that
+    rank B+ - A+ or take its column space share one object, and with it,
+    on the exact backend, one elimination."""
+    return _kept(b, "difference", lambda b, key: b - a, owner=a)
 
 
 def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BackendError, ShapeError
 from .matrix import (EXACT, RANK_FACTOR, Matrix, _elimination, _kept,
-                     float_svd, hstack, memoized, rank, token)
+                     float_svd, hstack, memoized, rank)
 
 
 @memoized
@@ -69,12 +69,12 @@ def subspace_leq(s: Matrix, t: Matrix,
     basis X of t. Float: with S and T the ``column_space`` bases of s and
     t, S lies in col(T) when appending S to T does not raise the rank
     above T's column count. The verdict is kept on s under ``("leq",
-    rank_factor)`` for ``token(t)``, so a later call on the same pair reads
-    it; a call on s with another t replaces it.
+    rank_factor)`` for t, so a later call on the same pair reads it; a
+    call on s with another t replaces it.
     """
     _check_comparable(s, t)
     return _kept(s, ("leq", rank_factor),
-                 lambda s, key: _leq(s, t, rank_factor), owner=token(t))
+                 lambda s, key: _leq(s, t, rank_factor), owner=t)
 
 
 def _leq(s: Matrix, t: Matrix, rank_factor: float) -> bool:

@@ -126,6 +126,8 @@ def test_partitioned_pinv_frozen():
     assert md == Matrix.identity(2)
     with pytest.raises(ShapeError):
         partitioned_mp(p, Matrix.exact([[1]]))
+    with pytest.raises(BackendError, match="^mixed backends$"):
+        partitioned_mp(p, q.to_float())
 
 
 def test_partitioned_pinv_matches_direct():

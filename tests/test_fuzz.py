@@ -1,12 +1,16 @@
-"""Fuzz harness configuration, determinism, and small green runs."""
+"""Fuzz harness configuration, determinism, small green runs, and the
+counterexamples a failing property reports."""
 
+import json
 import random
 
 import pytest
 
 from matorder import (EXACT, FLOAT, MatOrderError, Matrix, PropertyResult,
-                      RunConfig, is_partial_isometry, rank, run_all,
-                      run_property, run_suite)
+                      RunConfig, is_partial_isometry, leq_star,
+                      matrix_from_dict, rank, run_all, run_property,
+                      run_suite)
+from matorder import cli, fuzz, orders
 from matorder.fuzz import EXACT_PROPERTIES, FLOAT_PROPERTIES
 from matorder.sampling import (exact_pair, float_pair, log_uniform_sigma,
                                partial_isometry_pair, random_base_matrix,
@@ -114,7 +118,7 @@ def test_log_uniform_sigma_bounds():
 
 def test_random_base_matrix_rank():
     rng = random.Random(12)
-    for n, r in ((2, 1), (3, 3), (5, 2)):
+    for n, r in ((2, 1), (3, 3), (5, 2), (3, 0)):
         b = random_base_matrix(n, r, rng)
         assert b.shape == (n, n)
         assert rank(b) == r
@@ -155,3 +159,46 @@ def test_pair_generators_cover_kinds():
     for _ in range(30):
         pkinds.add(partial_isometry_pair(rng, 3, 3)[0])
     assert pkinds == {"nested", "independent"}
+
+
+def _never_minus(a, b, tol, rank_factor):
+    return orders.OrderReport("minus", False, "stub")
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError("non-standard JSON constant %s" % constant)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_broken_implication_reports_its_first_counterexample(monkeypatch, capsys):
+    # with minus never holding, every star pair breaks star => minus
+    monkeypatch.setitem(orders.RELATIONS, "minus", _never_minus)
+    cfg = RunConfig(trials=12, dim_max=3, seed=2)
+    result = run_property(cfg, "implication-chains")
+    assert result.failures > 0 and not result.passed
+    ce = result.first_counterexample
+    assert set(ce) == {"trial", "kind", "broken_links", "a", "b"}
+    assert 0 <= ce["trial"] < cfg.trials
+    assert "star=>minus" in ce["broken_links"]
+    a, b = matrix_from_dict(ce["a"]), matrix_from_dict(ce["b"])
+    assert a.backend == EXACT and leq_star(a, b).verdict
+
+    code = cli.main(["--seed", "2", "fuzz", "--trials", "12", "--dim-max", "3"])
+    summary = _strict_json(capsys.readouterr().out)
+    assert code == 1 and summary["failures"] >= result.failures
+    chains = next(p for p in summary["properties"]
+                  if p["name"] == "implication-chains")
+    assert chains == result.to_dict()
+
+
+def test_a_single_matrix_property_reports_its_matrix(monkeypatch):
+    real = fuzz.rank
+    monkeypatch.setattr(fuzz, "rank", lambda m, *rf: real(m, *rf) + (m.backend == FLOAT))
+    result = run_property(RunConfig(trials=3, dim_max=3), "backend-rank-agreement")
+    assert result.failures == 3
+    ce = result.first_counterexample
+    assert set(ce) == {"trial", "kind", "a", "exact_rank", "float_rank"}
+    assert ce["trial"] == 0 and ce["kind"] == "rank"
+    a = matrix_from_dict(ce["a"])
+    assert ce["exact_rank"] == real(a) and ce["float_rank"] == real(a) + 1

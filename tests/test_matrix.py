@@ -61,6 +61,10 @@ def test_bad_entries_rejected():
         Matrix(2, 2, EXACT, [[gaussian(1)]])
     with pytest.raises(BackendError):
         Matrix(1, 1, "decimal", [[1]])
+    with pytest.raises(ShapeError, match="negative dimension"):
+        Matrix.zeros(-1, 2)
+    with pytest.raises(ShapeError, match="2-d"):
+        Matrix.from_ndarray(np.zeros(3))
 
 
 def test_addition_and_scaling():
@@ -210,6 +214,7 @@ def test_frobenius_is_exact_on_rationals():
     a = Matrix.exact([["1/2", (0, "1/2")]])
     assert a.frobenius_sq() == gaussian("1/2").re
     assert abs(a.frobenius() ** 2 - 0.5) < 1e-12
+    assert math.isclose(a.to_float().frobenius_sq(), 0.5)
 
 
 def test_stacking_and_block():
@@ -280,6 +285,8 @@ def test_rref_known_matrix():
     red, pivots = exact_rref(a)
     assert pivots == (0, 2)
     assert red == Matrix.exact([[1, 2, 0], [0, 0, 1]])
+    with pytest.raises(BackendError, match="row reduction"):
+        exact_rref(a.to_float())
 
 
 def test_rank_oracles():
@@ -542,6 +549,8 @@ def test_json_round_trip_property(a):
     '{"rows": 1, "cols": 1, "backend": "decimal", "entries": [[["0/1", "0/1"]]]}',
     '{"rows": 2, "cols": 1, "backend": "exact", "entries": [[["0/1", "0/1"]]]}',
     '{"rows": 1, "cols": 1, "backend": "exact", "entries": [[["0/1"]]]}',
+    pytest.param('{"rows": 2, "cols": 2, "backend": "exact", "entries": '
+                 '[[["0", "0"], ["0", "0"]], [["0", "0"]]]}', id="short-row"),
     '{"rows": 1, "cols": 1, "backend": "exact", "entries": [[[0.5, "0/1"]]]}',
     '{"rows": 1, "cols": 1, "backend": "exact", "entries": [[["1/0", "0/1"]]]}',
     '{"rows": 1, "cols": 1, "backend": "float", "entries": [[["1.0", 0.0]]]}',
@@ -616,6 +625,7 @@ def test_signed_zeros_are_equal_and_hash_alike():
     pos, neg = Matrix.from_complex([[0.0]]), Matrix.from_complex([[-0.0]])
     assert pos == neg
     assert hash(pos) == hash(neg)
+    assert str((-pos)[0, 0]) == "(-0-0j)" and -pos == pos
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),

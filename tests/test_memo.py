@@ -1,8 +1,10 @@
 """Per-matrix memo: the adjoint, pseudoinverse, column space, block form,
 float SVD, exact integer form and exact elimination are computed once per
-Matrix object, the diamond predecessor once per idempotent and block
-form, and a range inclusion and a difference once per pair; exact entries
-are built only when read, and none of it changes a result."""
+Matrix object, the adjoint's adjoint is the matrix itself, the diamond
+predecessor is built once per idempotent and block form, and a range
+inclusion and a difference once per pair; exact entries are built only
+when read, no memo forms a reference cycle, and none of it changes a
+result."""
 
 import ast
 import dataclasses
@@ -78,10 +80,25 @@ def test_each_rank_factor_gets_its_own_result():
 @pytest.mark.parametrize("a", [Matrix.exact([[1, (0, 1)], [2, 3]]),
                                Matrix.from_complex([[1, 1j], [2, 3]])],
                          ids=["exact", "float"])
-def test_adjoint_is_cached_without_a_back_link(a):
+def test_adjoint_links_back_to_its_source(a):
     assert a.ct is a.ct
-    assert a.ct.ct == a
-    assert a.ct.ct is not a
+    assert a.ct.ct is a
+    assert a.ct.ct.ct is a.ct
+
+
+@pytest.mark.parametrize("backend", [lambda m: m, Matrix.to_float],
+                         ids=["exact", "float"])
+def test_adjoint_of_a_freed_source_is_a_new_equal_matrix(backend):
+    a = backend(Matrix.exact([[1, (0, 1)], [2, 3], [0, (1, -1)]]))
+    original = _fresh(a)
+    adjoint = a.ct
+    source = weakref.ref(a)
+    del a
+    gc.collect()
+    assert source() is None
+    back = adjoint.ct
+    assert back == original and back is adjoint.ct
+    assert back.ct is adjoint
 
 
 def test_cached_values_are_read_only():
@@ -345,6 +362,7 @@ def test_pair_values_form_no_reference_cycle():
     try:
         _pair_calls(a, b)
         _pair_calls(b, a)
+        assert a.ct.ct is a and b.ct.ct is b
         refs = [weakref.ref(a._entries), weakref.ref(b._entries)]
         del a, b
         assert all(ref() is None for ref in refs)

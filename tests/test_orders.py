@@ -236,6 +236,25 @@ def test_factor_witness_examples():
         idempotent_factor_witness(A1, B2)
 
 
+def test_factor_witness_is_none_when_roundoff_breaks_idempotence():
+    # B has singular values 1e-8 ... 1e-1 and A is a diamond predecessor
+    # of it, so every route says diamond; but A+ has norm about 1e8, and
+    # the roundoff of Q = A+ B exceeds the bound of Q Q = Q
+    from matorder.decomp import HSForm
+    from matorder.predecessors import diamond_predecessor, random_idempotent
+    from matorder.sampling import random_unitary
+
+    rng = random.Random(0)
+    u, g = random_unitary(4, rng), random_unitary(4, rng)
+    sigma = [10.0 ** (-8 + 7 * i / 3) for i in range(4)]
+    b = HSForm(u, sigma, g, g.submatrix(0, 4, 4, 4)).reconstruct()
+    a = diamond_predecessor(b, random_idempotent(4, 1, rng))
+    assert all(route(a, b).verdict for route in DIAMOND_ROUTES.values())
+    q = moore_penrose(a) @ b
+    assert not matrices_equal(q @ q, q)
+    assert idempotent_factor_witness(a, b) is None
+
+
 def test_factor_witness_is_pinv_times_base():
     from matorder.sampling import exact_pair, float_pair
 
@@ -272,6 +291,8 @@ def test_projector_transfer_passes_rank_factor():
 def test_pair_validation_errors():
     with pytest.raises(ShapeError):
         leq_star(A1, Matrix.exact([[1, 2, 3]]))
+    with pytest.raises(ShapeError, match="compare two matrices"):
+        leq_star(A1, [[0, 1], [0, 0]])
     with pytest.raises(BackendError):
         leq_minus(A1, B1.to_float())
     with pytest.raises(Exception):
