@@ -228,15 +228,14 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     Requires a below b in the diamond order and a nonzero; the zero matrix
     sits below everything and carries no block data, so it is rejected.
     """
-    from .orders import diamond_verdict
+    from .orders import _require_diamond
 
     _require_float(a, "diamond_canonical_pair")
     _require_float(b, "diamond_canonical_pair")
     a._check_same_shape(b, "diamond_canonical_pair")
     if rank(a, rank_factor) == 0:
         raise DomainError("zero lower matrix has no canonical block form")
-    if not diamond_verdict(a, b, tol, rank_factor):
-        raise DomainError("pair is not diamond-comparable")
+    _require_diamond(a, b, tol, rank_factor)
 
     u1, s, v1h, r = float_svd(b, rank_factor)
     d = np.diag(s[:r])

@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import weakref
 from fractions import Fraction
 from typing import Sequence
@@ -307,23 +308,20 @@ class Matrix:
             raise ShapeError("%s needs equal shapes, got %s and %s"
                              % (what, self.shape, other.shape))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other, op, what: str) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_shape(other, "addition")
+        self._check_same_shape(other, what)
         if self.backend == FLOAT:
-            return Matrix._wrap(self._entries + other._entries)
+            return Matrix._wrap(op(self._entries, other._entries))
         ((xr, xi), (yr, yi)), d = _over_common_denominator((self, other))
-        return Matrix._from_ints(xr + yr, xi + yi, d)
+        return Matrix._from_ints(op(xr, yr), op(xi, yi), d)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other, "subtraction")
-        if self.backend == FLOAT:
-            return Matrix._wrap(self._entries - other._entries)
-        ((xr, xi), (yr, yi)), d = _over_common_denominator((self, other))
-        return Matrix._from_ints(xr - yr, xi - yi, d)
+        return self._entrywise(other, operator.sub, "subtraction")
 
     def __neg__(self) -> "Matrix":
         if self.backend == FLOAT:
@@ -576,14 +574,11 @@ def tolerance_bound(tol: float, *norms: float) -> float:
 
 
 def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
-    """Whether a is zero: entrywise on the exact backend. On the float
-    backend the rule is |a|_F <= tolerance_bound(tol, |a|_F), which for
-    tol < 1 is |a|_F <= tol / (1 - tol), about |a|_F <= tol for small tol:
-    an absolute test, whose threshold does not scale with a."""
-    if a.backend == EXACT:
-        return a.is_zero()
-    norm = a.frobenius()
-    return norm <= tolerance_bound(tol, norm)
+    """Whether ``matrices_equal`` finds a equal to zero: entrywise on the
+    exact backend, and on the float backend |a|_F <= tol·(1 + |a|_F + 0.0),
+    which for tol < 1 is |a|_F <= tol / (1 - tol): an absolute test, whose
+    threshold does not scale with a."""
+    return matrices_equal(a, Matrix.zeros(a.rows, a.cols, a.backend), tol)
 
 
 def _exact_quotient(x, n):
@@ -595,14 +590,9 @@ def _exact_quotient(x, n):
 
 
 def _elimination(a: Matrix) -> tuple:
-    """``_gauss_jordan(a)``, run once per matrix: kept on a with read-only
-    rows and the pivot columns as a tuple."""
-    return _kept(a, "gauss_jordan", _kept_elimination)
-
-
-def _kept_elimination(a: Matrix, key: str) -> tuple:
-    re, im, last, pivots = _gauss_jordan(a)
-    return _read_only(re), _read_only(im), last, tuple(pivots)
+    """``_gauss_jordan(a)``, run once per matrix and kept on a under
+    ``"gauss_jordan"``."""
+    return _kept(a, "gauss_jordan", lambda a, key: _gauss_jordan(a))
 
 
 def _gauss_jordan(a: Matrix):
@@ -615,9 +605,9 @@ def _gauss_jordan(a: Matrix):
     (p·x − x[c]·row) / q, with p the new pivot and q the previous one (1 at
     first); the division is exact (Bareiss 1968, in the Gauss–Jordan form of
     Nakos, Turner and Williams 1997). Returns ``(re, im, last, pivots)``:
-    every pivot entry of the final rows re + i·im equals ``last``, a
-    Gaussian integer (re, im) pair, so those rows divided by it are the
-    reduced row echelon form of a.
+    every pivot entry of the final rows re + i·im, read-only arrays, equals
+    ``last``, a Gaussian integer (re, im) pair, so those rows divided by it
+    are the reduced row echelon form of a; ``pivots`` is a tuple.
     """
     re, im, _ = a.integer_form
     re, im = re.copy(), im.copy()
@@ -651,7 +641,7 @@ def _gauss_jordan(a: Matrix):
         re[r], im[r] = row_re, row_im
         pivots.append(c)
         qr, qi = pr, pi
-    return re, im, (qr, qi), pivots
+    return _read_only(re), _read_only(im), (qr, qi), tuple(pivots)
 
 
 def exact_rref(a: Matrix):

@@ -100,24 +100,22 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     })
 
 
-def _snapped_diff(a: Matrix, b: Matrix, tol: float) -> Matrix:
-    """``_difference(a, b)``, or exact zero on the float backend when A
-    equals B.
+def _difference(a: Matrix, b: Matrix, tol: float) -> Matrix:
+    """B - A, or exact zero on the float backend when A equals B within
+    tol, kept on b under ``("difference", tol)`` for a: the routes that
+    rank B+ - A+ or take its column space share one object, and with it,
+    on the exact backend, one elimination.
 
     The difference of two equal float matrices is pure roundoff; the SVD
     rank cutoff is relative to the matrix's own largest singular value, so
     such noise would otherwise read as full rank.
     """
-    if a.backend == FLOAT and matrices_equal(a, b, tol):
-        return Matrix.zeros(a.rows, a.cols, FLOAT)
-    return _difference(a, b)
+    def build(b: Matrix, key: tuple) -> Matrix:
+        if a.backend == FLOAT and matrices_equal(a, b, tol):
+            return Matrix.zeros(a.rows, a.cols, FLOAT)
+        return b - a
 
-
-def _difference(a: Matrix, b: Matrix) -> Matrix:
-    """B - A, kept on b under ``"difference"`` for a: the routes that
-    rank B+ - A+ or take its column space share one object, and with it,
-    on the exact backend, one elimination."""
-    return _kept(b, "difference", lambda b, key: b - a, owner=a)
+    return _kept(b, ("difference", tol), build, owner=a)
 
 
 def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -126,7 +124,7 @@ def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     _check_pair(a, b)
     ra = rank(a, rank_factor)
     rb = rank(b, rank_factor)
-    rd = rank(_snapped_diff(a, b, tol), rank_factor)
+    rd = rank(_difference(a, b, tol), rank_factor)
     return OrderReport("minus", rd == rb - ra, "rank", {
         "rank_a": ra, "rank_b": rb, "rank_diff": rd,
     })
@@ -219,6 +217,11 @@ def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     _check_pair(a, b)
     return (_compare(a @ b.ct @ a, a @ a.ct @ a, tol)[0]
             and _ranges_leq(a, b, rank_factor))
+
+
+def _require_diamond(a: Matrix, b: Matrix, tol: float, rank_factor: float):
+    if not diamond_verdict(a, b, tol, rank_factor):
+        raise DomainError("pair is not diamond-comparable")
 
 
 def _ranges_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
@@ -322,7 +325,7 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     _check_pair(a, b)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
-    diff = _snapped_diff(ad, bd, tol)
+    diff = _difference(ad, bd, tol)
     inter = subspace_intersection_dim(a.ct, diff, rank_factor)
     incl = subspace_leq(a.ct, b.ct, rank_factor)
     verdict = inter == 0 and incl
@@ -355,7 +358,7 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     if a.backend == FLOAT:
         floor = rank_floor(tol, rank_factor, bd.shape, ad.frobenius(),
                            bd.frobenius())
-    r_diff = _rank(_difference(ad, bd), rank_factor, floor)
+    r_diff = _rank(_difference(ad, bd, tol), rank_factor, floor)
     r_proj = _rank((eye - projector_rowspace(a, rank_factor)) @ bd,
                    rank_factor, floor)
     incl = subspace_leq(a.ct, b.ct, rank_factor)
@@ -374,9 +377,7 @@ def idempotent_factor_witness(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     arithmetic. Returns Q once both identities verify within tol, and None
     when float roundoff breaks them.
     """
-    _check_pair(a, b)
-    if not diamond_verdict(a, b, tol, rank_factor):
-        raise DomainError("pair is not diamond-comparable")
+    _require_diamond(a, b, tol, rank_factor)
     ad = moore_penrose(a, rank_factor)
     q = ad @ b
     if (matrices_equal(q @ q, q, tol)

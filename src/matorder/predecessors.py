@@ -23,7 +23,7 @@ from .decomp import HSForm, hartwig_spindelbock
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, inverse,
                      matrices_equal, tolerance_bound)
-from .orders import diamond_verdict
+from .orders import _require_diamond, diamond_verdict
 from .pinv import moore_penrose
 
 
@@ -143,8 +143,7 @@ def reverse_order_law(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     pair of booleans (direct, criterion) is returned and the two agree.
     """
     hs = hartwig_spindelbock(b, rank_factor)
-    if not diamond_verdict(a, b, tol, rank_factor):
-        raise DomainError("pair is not diamond-comparable")
+    _require_diamond(a, b, tol, rank_factor)
     t, sit_pinv = _recover(a, hs, tol, rank_factor)
     direct = matrices_equal(
         moore_penrose(a @ b, rank_factor),

@@ -66,11 +66,10 @@ def subspace_leq(s: Matrix, t: Matrix,
     with the same number of rows.
 
     Exact: col(s) ⊆ col(t) exactly when s* X = 0 for the kept left-null
-    basis X of t. Float: with S and T the ``column_space`` bases of s and
-    t, S lies in col(T) when appending S to T does not raise the rank
-    above T's column count. The verdict is kept on s under ``("leq",
-    rank_factor)`` for t, so a later call on the same pair reads it; a
-    call on s with another t replaces it.
+    basis X of t. Float: when ``subspace_intersection_dim(t, s)``, read
+    off the rank of the stacked bases, is the dimension of col(s). The
+    verdict is kept on s under ``("leq", rank_factor)`` for t, so a later
+    call on the same pair reads it; a call on s with another t replaces it.
     """
     _check_comparable(s, t)
     return _kept(s, ("leq", rank_factor),
@@ -80,8 +79,8 @@ def subspace_leq(s: Matrix, t: Matrix,
 def _leq(s: Matrix, t: Matrix, rank_factor: float) -> bool:
     if s.backend == EXACT:
         return (s.ct @ _kept(t, "left_null", _left_null)).is_zero()
-    s, t = column_space(s, rank_factor), column_space(t, rank_factor)
-    return s.cols == 0 or rank(hstack(t, s), rank_factor) == t.cols
+    return (subspace_intersection_dim(t, s, rank_factor)
+            == column_space(s, rank_factor).cols)
 
 
 def subspace_intersection_dim(s: Matrix, t: Matrix,

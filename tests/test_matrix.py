@@ -258,6 +258,26 @@ def test_is_zero_matrix_per_backend():
     assert is_zero_matrix(Matrix.from_complex([[1e-12]]))
 
 
+def test_is_zero_matrix_at_its_float_boundary():
+    # tol·(1 + |a| + 0.0) is 1.0 at |a| = 1 and tol = 0.5, and grows by
+    # half of any step in |a|
+    assert is_zero_matrix(Matrix.from_complex([[1.0]]), 0.5)
+    assert not is_zero_matrix(Matrix.from_complex([[1.0 + 2 ** -20]]), 0.5)
+    assert is_zero_matrix(Matrix.zeros(0, 3, EXACT))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_sums_and_differences_refuse_non_matrices(backend):
+    a = Matrix.identity(2, backend)
+    with pytest.raises(TypeError):
+        a + 1
+    with pytest.raises(TypeError):
+        1 + a
+    with pytest.raises(TypeError):
+        a - "x"
+    assert a.__add__(1) is NotImplemented and a.__sub__("x") is NotImplemented
+
+
 def test_tolerance_bound_adds_the_norms_to_one_in_order():
     # 1 + 1e16 rounds back to 1e16, and so does adding 1 again; a compensated
     # sum (math.fsum, or sum() from Python 3.12) would carry the two ones

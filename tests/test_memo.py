@@ -349,11 +349,43 @@ def test_pair_values_go_only_to_their_partner(backend):
     a1 = backend(Matrix.exact([[1, 0], [0, 0], [0, 0]]))
     a2 = backend(Matrix.exact([[0, 0], [0, 1], [1, 0]]))
     for a in (a1, a2, a1):
-        diff = orders._snapped_diff(a, b, 1e-9)
-        assert diff == orders._snapped_diff(_fresh(a), _fresh(b), 1e-9)
+        diff = orders._difference(a, b, 1e-9)
+        assert diff == orders._difference(_fresh(a), _fresh(b), 1e-9)
         assert diff == b - a
-    assert orders._snapped_diff(a1, b, 1e-9) is diff
+    assert orders._difference(a1, b, 1e-9) is diff
     assert [k for k in s._memo if k[0] == "leq"] == [("leq", 64.0)]
+
+
+def test_kept_difference_is_keyed_by_tol_and_shared_by_the_routes(monkeypatch):
+    a = Matrix.from_complex([[2, 1j, 0], [0.5, 3, 1], [1, 0, 4]])
+    b = Matrix.from_ndarray(a.to_ndarray() + 1e-14 * np.ones((3, 3)))
+    routes = [RELATIONS["minus"]] + [DIAMOND_ROUTES[k] for k in
+                                     ("dagger-minus", "range-split", "rank")]
+    snaps = []
+    real = orders.matrices_equal
+
+    def counted(x, y, tol):
+        snaps.append((x, y))
+        return real(x, y, tol)
+
+    monkeypatch.setattr(orders, "matrices_equal", counted)
+    reports = [fn(a, b, 1e-9) for fn in routes]
+    ad, bd = moore_penrose(a), moore_penrose(b)
+    # one snapped difference per pair: B - A for minus, B+ - A+ for the rest
+    assert [(x is a, y is b, x is ad, y is bd) for x, y in snaps] == [
+        (True, True, False, False), (False, False, True, True)]
+    for m in (b, bd):
+        assert [k for k in m._memo if k[0] == "difference"] == [("difference", 1e-9)]
+    assert orders._difference(ad, bd, 1e-9).is_zero()
+    assert all(r.verdict for r in reports)
+    assert reports[3].witnesses["rank_dagger_diff"] == 0
+    # tol = 0 keeps its own difference, the true B - A, which is roundoff
+    # of full rank and so not the zero kept at 1e-9
+    for fn in routes:
+        assert fn(a, b, 0.0).to_dict() == fn(_fresh(a), _fresh(b), 0.0).to_dict()
+    assert orders._difference(a, b, 0.0) == b - a
+    assert RELATIONS["minus"](a, b, 0.0).witnesses["rank_diff"] == 3
+    assert sorted(k[1] for k in bd._memo if k[0] == "difference") == [0.0, 1e-9]
 
 
 def test_pair_values_form_no_reference_cycle():
