@@ -201,22 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("predecessor",
-                       help="build a diamond-order lower neighbor")
-    p.add_argument("matrix", help="square base matrix (float)")
-    p.add_argument("--t", default=None,
-                   help="JSON file with an r x r idempotent parameter")
-    p.add_argument("--rank", type=int, default=None,
-                   help="rank of a randomly drawn idempotent (default random)")
-    p.set_defaults(func=cmd_predecessor)
-
-    p = sub.add_parser("criteria",
-                       help="reverse order law, square/pinv exchange, and "
-                            "pinv monotonicity for a constructed pair")
-    p.add_argument("matrix", help="square base matrix (float)")
-    p.add_argument("--t", default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.set_defaults(func=cmd_criteria)
+    for name, func, text in (
+            ("predecessor", cmd_predecessor,
+             "build a diamond-order lower neighbor"),
+            ("criteria", cmd_criteria,
+             "reverse order law, square/pinv exchange, and pinv "
+             "monotonicity for a constructed pair")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("matrix", help="square base matrix (float)")
+        p.add_argument("--t", default=None,
+                       help="JSON file with an r x r idempotent parameter")
+        p.add_argument("--rank", type=int, default=None,
+                       help="rank of a randomly drawn idempotent "
+                            "(default random)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("fuzz", help="run the randomized property suites")
     p.add_argument("--trials", type=int, default=200)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BackendError, DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _kept, block,
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _kept,
                      float_svd, hstack, memoized, rank, vstack)
 from .pinv import moore_penrose
 
@@ -24,6 +24,12 @@ from .pinv import moore_penrose
 def _require_float(a: Matrix, what: str):
     if a.backend == EXACT:
         raise BackendError("%s needs the float backend" % what)
+
+
+def _padded(core: Matrix, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix [[core, 0], [0, 0]], on core's backend."""
+    top = hstack(core, Matrix.zeros(core.rows, cols - core.cols, core.backend))
+    return vstack(top, Matrix.zeros(rows - core.rows, cols, core.backend))
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,8 @@ class SVDForm:
     v: Matrix
 
     def sigma_matrix(self) -> Matrix:
-        out = np.zeros((self.u.rows, self.v.rows), dtype=complex)
-        np.fill_diagonal(out, self.sigma)
-        return Matrix.from_ndarray(out)
+        core = Matrix.from_ndarray(np.diag(np.array(self.sigma, dtype=complex)))
+        return _padded(core, self.u.rows, self.v.rows)
 
     def reconstruct(self) -> Matrix:
         return self.u @ self.sigma_matrix() @ self.v.ct
@@ -92,8 +97,7 @@ class HSForm:
 
     def _top_block_row(self, c: Matrix) -> Matrix:
         """The n x n block matrix [[ck, cl], [0, 0]] for an r x r block c."""
-        top = hstack(c @ self.k, c @ self.l)
-        return vstack(top, Matrix.zeros(self.n - self.r, self.n, FLOAT))
+        return _padded(hstack(c @ self.k, c @ self.l), self.n, self.n)
 
     def core(self) -> Matrix:
         """The n x n block matrix [[sk, sl], [0, 0]]."""
@@ -123,8 +127,7 @@ class HSForm:
         u [[k* s^-1 t, 0], [l* s^-1 t, 0]] u*."""
         sit = self.sigma_inv() @ t
         left = vstack(self.k.ct @ sit, self.l.ct @ sit)
-        rest = Matrix.zeros(self.n, self.n - self.r, FLOAT)
-        return self.u @ hstack(left, rest) @ self.u.ct
+        return self.u @ _padded(left, self.n, self.n) @ self.u.ct
 
     def pinv(self) -> Matrix:
         """Closed-form pseudoinverse of the reconstructed matrix, which is
@@ -161,19 +164,11 @@ def partitioned_mp(p: Matrix, q: Matrix):
         raise ShapeError("blocks need equal row counts")
     if p.backend != q.backend:
         raise BackendError("mixed backends")
-    m_rows = p.rows
-    total_cols = p.cols + q.cols
-    pad = max(total_cols - m_rows, 0)
-    top = hstack(p, q)
-    m = block([[top], [Matrix.zeros(pad, total_cols, p.backend)]]) if pad else top
-    r = p @ p.ct + q @ q.ct
-    rd = moore_penrose(r)
-    left = block([[p.ct @ rd], [q.ct @ rd]])
-    if pad:
-        mp = hstack(left, Matrix.zeros(total_cols, pad, p.backend))
-    else:
-        mp = left
-    return m, mp
+    cols = p.cols + q.cols
+    rows = max(p.rows, cols)
+    rd = moore_penrose(p @ p.ct + q @ q.ct)
+    return (_padded(hstack(p, q), rows, cols),
+            _padded(vstack(p.ct @ rd, q.ct @ rd), cols, rows))
 
 
 @dataclass(frozen=True)
@@ -203,9 +198,7 @@ class CanonicalPair:
         return self.b_core.rows
 
     def _embed(self, core: Matrix) -> Matrix:
-        out = np.zeros((self.u.rows, self.v.rows), dtype=complex)
-        out[: core.rows, : core.cols] = core.entries
-        return self.u @ Matrix.from_ndarray(out) @ self.v.ct
+        return self.u @ _padded(core, self.u.rows, self.v.rows) @ self.v.ct
 
     def first(self) -> Matrix:
         return self._embed(self.a_core)

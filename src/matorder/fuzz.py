@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .decomp import diamond_canonical_pair
@@ -64,9 +64,7 @@ class PropertyResult:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "trials": self.trials,
-                "failures": self.failures,
-                "first_counterexample": self.first_counterexample}
+        return asdict(self)
 
 
 def _run(cfg: RunConfig, name: str, trial) -> PropertyResult:

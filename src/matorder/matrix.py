@@ -566,7 +566,7 @@ def tolerance_bound(tol: float, *norms: float) -> float:
     for norm in norms:
         scale += norm
     bound = tol * scale
-    if not 0.0 <= bound < math.inf:
+    if not (0.0 <= bound < math.inf and tol >= 0.0):
         raise DomainError("tolerance bound %r is not a finite non-negative "
                           "number: tol must be >= 0 and the operands within "
                           "the float range" % bound)

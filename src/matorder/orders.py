@@ -37,7 +37,7 @@ through those two for diamond; the cover diagram reads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -61,9 +61,7 @@ class OrderReport:
     witnesses: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"relation": self.relation, "verdict": self.verdict,
-                "characterization": self.characterization,
-                "witnesses": self.witnesses}
+        return asdict(self)
 
 
 def _check_pair(a: Matrix, b: Matrix):

@@ -197,12 +197,9 @@ def float_pair(rng: random.Random, n: int):
         b = random_base_matrix(n, r, rng)
         t = random_idempotent(r, rng.randint(0, r), rng)
         return kind, diamond_predecessor(b, t), b
+    a = random_spectrum_matrix(n, n, rng.randint(0, n), rng)
     if kind == "equal":
-        a = random_spectrum_matrix(n, n, rng.randint(0, n), rng)
         return kind, a, a
     if kind == "scaled":
-        a = random_spectrum_matrix(n, n, rng.randint(0, n), rng)
         return kind, a, a.scale(2.0)
-    a = random_spectrum_matrix(n, n, rng.randint(0, n), rng)
-    b = random_spectrum_matrix(n, n, rng.randint(0, n), rng)
-    return kind, a, b
+    return kind, a, random_spectrum_matrix(n, n, rng.randint(0, n), rng)

@@ -139,11 +139,16 @@ def test_partitioned_pinv_matches_direct():
                           for _ in range(m)])
         q = Matrix.exact([[rng.randint(-2, 2) for _ in range(qc)]
                           for _ in range(m)])
-        stacked, sd = partitioned_mp(p, q)
-        pad = max(p.cols + q.cols - m, 0)
-        assert stacked.rows == m + pad
-        direct = moore_penrose(stacked)
-        assert sd == direct
+        # a 0-column block on either side, and each case on floats
+        empty = Matrix.zeros(m, 0)
+        for p, q in ((p, q), (empty, q), (p, empty)):
+            stacked, sd = partitioned_mp(p, q)
+            pad = max(p.cols + q.cols - m, 0)
+            assert stacked.rows == m + pad
+            direct = moore_penrose(stacked)
+            assert sd == direct
+            stacked, sd = partitioned_mp(p.to_float(), q.to_float())
+            assert matrices_equal(sd, moore_penrose(stacked), TOL)
 
 
 def test_partitioned_pinv_on_block_form_parts():

@@ -231,6 +231,9 @@ SMALL = Matrix.from_complex([[1, 0], [0, 0]])
 CUBE_BIG = Matrix.from_complex([[5e102]])
 # A A* A = [[2x^3, 2x^3]] is finite and its Frobenius norm is not
 ROW_BIG = Matrix.from_complex([[4.2e102, 4.2e102]])
+# k·n < m, so each block holds one j: row 0's A A* A overflows, its own
+# block j = 0 decides no pair, and the next block raises
+COL_BIG = Matrix.from_complex([[1e103], [0.0], [0.0], [0.0]])
 
 
 @pytest.mark.parametrize("items, tol", [
@@ -242,6 +245,7 @@ ROW_BIG = Matrix.from_complex([[4.2e102, 4.2e102]])
     ([("s", SMALL), ("t", SMALL)], -1e-9),
     ([("s", SMALL), ("t", SMALL)], float("nan")),
     ([("e", Matrix.zeros(0, 3, "float")), ("f", Matrix.zeros(0, 3, "float"))], -1.0),
+    ([("big", COL_BIG), ("unit", COL_BIG.scale(1e-103))], 1e-9),
 ])
 def test_stacked_poset_raises_what_the_pair_loop_raises(items, tol):
     with np.errstate(over="ignore", invalid="ignore"):
