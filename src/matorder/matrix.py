@@ -9,7 +9,11 @@ on that form, so equality is a comparison of integers and rank is decided
 by a fraction-free elimination. Every exact constructor builds that form
 at once with ``_integer_form``; GaussianRational entries are built only
 when read, for display and indexing. The float backend stores finite
-complex128 entries. Every float threshold in the package is
+complex128 entries. They are checked where an array is computed (a
+product, sum, difference or scaling, or a numpy factorization's result)
+or read from outside, and not where a kernel only rearranges or negates
+checked entries (an adjoint, a slice, a stack, a negation), which cannot
+make a finite entry infinite. Every float threshold in the package is
 ``tolerance_bound`` of the operands' Frobenius norms: comparisons go
 through ``_compare`` (``matrices_equal`` is its verdict), and rank counts
 singular values above a spectral cutoff, or above a caller's floor
@@ -48,6 +52,8 @@ EPS = 2.0 ** -52
 # backend -> dtype of its arrays
 _DTYPE = {EXACT: object, FLOAT: complex}
 _DIVMOD = np.frompyfunc(divmod, 2, 2)
+# the dtype kinds of numbers: bool, signed and unsigned int, float, complex
+_NUMERIC = "biufc"
 
 
 def _dtype(rows: int, cols: int, backend: str):
@@ -78,17 +84,18 @@ def _parts(value) -> tuple:
 
 
 def _read_only(arr):
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
 def _finite(arr):
-    """The float array ``arr``, made read-only once its entries are checked
-    finite."""
-    if not np.isfinite(arr).all():
+    """The float array ``arr``, once its entries are checked finite. This is
+    the one finiteness check, run on an array that arithmetic computed or
+    that came from outside; ``isfinite`` raises no warning, so an overflow
+    keeps the warning of the kernel that overflowed."""
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise DomainError("float entries must be finite: the input holds "
                           "NaN or infinity, or the arithmetic overflowed")
-    arr.flags.writeable = False
     return arr
 
 
@@ -122,7 +129,7 @@ def _float_array(entries, arr):
     """A new complex array of the float entries ``entries``, which numpy
     reads as ``arr``: an array of a numeric dtype converts as a whole, any
     other is read entry by entry by ``_coerce_float``."""
-    if arr.dtype.kind in "biufc":
+    if arr.dtype.kind in _NUMERIC:
         return np.array(arr, dtype=complex)
     values = np.asarray(entries, dtype=object).flat
     return np.array([_coerce_float(v) for v in values], dtype=complex).reshape(arr.shape)
@@ -175,7 +182,8 @@ class Matrix:
         if arr.shape != (rows, cols):
             raise ShapeError("entry grid does not match declared shape")
         if backend == FLOAT:
-            self._set(FLOAT, arr.shape, "_entries", _finite(_float_array(entries, arr)))
+            self._set(FLOAT, arr.shape, "_entries",
+                      _read_only(_finite(_float_array(entries, arr))))
         else:
             self._set(EXACT, arr.shape, "_ints",
                       _integer_form([_parts(v) for v in arr.flat], arr.shape))
@@ -191,10 +199,22 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, arr) -> "Matrix":
-        """A float matrix on ``arr`` without a copy: a 2-d complex array that
-        no one writes to afterwards."""
+        """A float matrix on ``arr`` without a copy: a 2-d complex array,
+        computed by arithmetic or by numpy, that no one writes to
+        afterwards. Its entries are checked finite, then it is built by
+        ``_from_checked``."""
+        return cls._from_checked(_finite(arr))
+
+    @classmethod
+    def _from_checked(cls, arr) -> "Matrix":
+        """A float matrix on ``arr`` without a copy or a check: a 2-d complex
+        array, made read-only here, whose entries are finite because they
+        rearrange or negate the entries of checked arrays (an adjoint, a
+        slice, a stack, a negation) or are zeros and ones. Transposing,
+        slicing, stacking and negating cannot make a finite entry
+        infinite, so checking them again would find nothing."""
         out = object.__new__(cls)
-        out._set(FLOAT, arr.shape, "_entries", _finite(arr))
+        out._set(FLOAT, arr.shape, "_entries", _read_only(arr))
         return out
 
     @classmethod
@@ -237,21 +257,26 @@ class Matrix:
     def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Matrix":
         arr = np.zeros((rows, cols), dtype=_dtype(rows, cols, backend))
         if backend == FLOAT:
-            return cls._wrap(arr)
+            return cls._from_checked(arr)
         return cls._from_ints(arr, arr, 1)
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
         arr = np.eye(n, dtype=_dtype(n, n, backend))
         if backend == FLOAT:
-            return cls._wrap(arr)
+            return cls._from_checked(arr)
         return cls._from_ints(arr, np.zeros((n, n), dtype=object), 1)
 
     @classmethod
     def from_ndarray(cls, arr) -> "Matrix":
+        """The float matrix of a copy of the 2-d array ``arr``. An array of a
+        numeric dtype is converted whole, as the constructor converts it,
+        and checked; any other is read entry by entry by the constructor."""
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ShapeError("expected a 2-d array")
+        if a.dtype.kind in _NUMERIC:
+            return cls._wrap(np.array(a, dtype=complex))
         return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     # -- basic views ---------------------------------------------------
@@ -325,7 +350,7 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         if self.backend == FLOAT:
-            return Matrix._wrap(-self._entries)
+            return Matrix._from_checked(-self._entries)
         re, im, d = self.integer_form
         return Matrix._from_ints(-re, -im, d, reduced=True)
 
@@ -350,7 +375,7 @@ class Matrix:
 
     def conj_transpose(self) -> "Matrix":
         if self.backend == FLOAT:
-            return Matrix._wrap(self._entries.conj().T)
+            return Matrix._from_checked(self._entries.conj().T)
         re, im, d = self.integer_form
         return Matrix._from_ints(re.T, -im.T, d, reduced=True)
 
@@ -427,7 +452,7 @@ class Matrix:
 
     def _take(self, key) -> "Matrix":
         if self.backend == FLOAT:
-            return Matrix._wrap(self._entries[key])
+            return Matrix._from_checked(self._entries[key])
         re, im, d = self.integer_form
         return Matrix._from_ints(re[key], im[key], d)
 
@@ -442,7 +467,7 @@ def _stack(join, mats, side: int, message: str) -> Matrix:
         if m.shape[side] != first.shape[side]:
             raise ShapeError(message)
     if first.backend == FLOAT:
-        return Matrix._wrap(join([m._entries for m in mats]))
+        return Matrix._from_checked(join([m._entries for m in mats]))
     parts, d = _over_common_denominator(mats)
     # over the lcm, the block holding the highest power of each prime of d
     # keeps a numerator prime to it, so the joined form is canonical

@@ -19,6 +19,7 @@ from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderErro
                       inverse, is_zero_matrix, leq_minus, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix, matrix_to_json, moore_penrose, rank, vstack)
+from matorder.decomp import hartwig_spindelbock
 from matorder.matrix import float_norm, float_svd, tolerance_bound
 from matorder.sampling import float_pair
 from matorder.scalars import GaussianRational, gaussian
@@ -639,6 +640,27 @@ def test_entries_are_read_only_and_owned():
         assert not m.entries.flags.writeable
     with pytest.raises(ValueError):
         f.entries[0, 0] = 3.0
+    # the kernels that only rearrange checked entries, which they do not
+    # check again, give numpy's own rearrangement bit for bit
+    rng = np.random.default_rng(5)
+    x = _random_complex(rng, 3, 4)
+    x[0, 0], x[1, 2] = 0.0, complex(-0.0, 0.0)
+    y = _random_complex(rng, 3, 4)
+    a, b = Matrix.from_ndarray(x), Matrix.from_ndarray(y)
+    for m, want in [
+        (a.ct, x.conj().T),
+        (a.submatrix(1, 3, 0, 2), x[1:3, 0:2]),
+        (a.columns([2, 0, 2]), x[:, [2, 0, 2]]),
+        (hstack(a, b), np.hstack([x, y])),
+        (vstack(a, b), np.vstack([x, y])),
+        (block([[a, b], [b, a]]), np.block([[x, y], [y, x]])),
+        (-a, -x),
+        (Matrix.zeros(2, 3, FLOAT), np.zeros((2, 3), dtype=complex)),
+        (Matrix.identity(3, FLOAT), np.eye(3, dtype=complex)),
+    ]:
+        assert not m.entries.flags.writeable
+        assert m.entries.dtype == want.dtype and m.shape == want.shape
+        assert m.entries.tobytes() == want.tobytes()
 
 
 def test_signed_zeros_are_equal_and_hash_alike():
@@ -649,12 +671,34 @@ def test_signed_zeros_are_equal_and_hash_alike():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                   complex(0.0, float("-inf"))])
+                                   complex(0.0, float("-inf")),
+                                   complex(1.0, float("nan")),
+                                   complex(1.0, float("inf"))])
 def test_non_finite_float_entries_rejected(value):
     with pytest.raises(DomainError):
         Matrix.from_complex([[value]])
     with pytest.raises(DomainError):
         Matrix.from_ndarray(np.array([[1.0, value]]))
+    with pytest.raises(DomainError):
+        Matrix.from_ndarray(np.array([[1.0, value]], dtype=object))
+    z = complex(value)
+    with pytest.raises(DomainError):
+        matrix_from_dict({"rows": 1, "cols": 1, "backend": FLOAT,
+                          "entries": [[[z.real, z.imag]]]})
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)],
+                         ids=["0-by-3", "3-by-0", "0-by-0"])
+def test_empty_float_arrays_pass_the_finiteness_check(shape):
+    # no entry, so the count of finite entries equals the size, 0
+    rows, cols = shape
+    m = Matrix.from_ndarray(np.zeros(shape))
+    assert m.shape == shape and not m.entries.flags.writeable
+    assert Matrix(rows, cols, FLOAT, np.zeros(shape)).shape == shape
+    assert (m + m).shape == (m - m).shape == m.scale(2).shape == shape
+    assert (m @ Matrix.zeros(cols, 2, FLOAT)).shape == (rows, 2)
+    assert (Matrix.zeros(2, rows, FLOAT) @ m).shape == (2, cols)
+    assert matrices_equal(m, Matrix.zeros(rows, cols, FLOAT))
 
 
 @pytest.mark.parametrize("make", [
@@ -740,10 +784,27 @@ def test_float_norm_is_numpys_norm_bit_for_bit(view):
 
 def test_overflowing_float_kernel_is_a_domain_error():
     big = Matrix.from_complex([[1e308, 0.0]])
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
-        big.ct @ big
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
-        big + big
+    neg = Matrix.from_complex([[-1e308, 0.0]])
+    finite = "float entries must be finite"
+    for kernel, warning in [(lambda: big.ct @ big, "overflow encountered in matmul"),
+                            (lambda: big + big, "overflow encountered in add"),
+                            (lambda: big - neg, "overflow encountered in subtract"),
+                            (lambda: big.scale(10), "overflow encountered in multiply")]:
+        with pytest.warns(RuntimeWarning, match=warning), \
+                pytest.raises(DomainError, match=finite):
+            kernel()
+    # a numpy result that the library wraps is checked as a kernel's is:
+    # 1 / 1e-310 overflows in pinv's divide and fills its product with NaN
+    tiny = Matrix.from_complex([[1e-310]])
+    with pytest.warns(RuntimeWarning) as record, pytest.raises(DomainError, match=finite):
+        moore_penrose(tiny)
+    messages = [str(w.message) for w in record]
+    assert any("in divide" in m for m in messages), messages
+    assert any("in matmul" in m for m in messages), messages
+    # Python's 1.0 / 1e-310 is inf without a warning
+    form = hartwig_spindelbock(tiny)
+    with pytest.raises(DomainError, match=finite):
+        form.sigma_inv()
 
 
 def test_repr_and_hash_usable():
