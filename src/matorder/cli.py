@@ -89,15 +89,11 @@ def cmd_pinv(args) -> int:
 def cmd_decompose(args) -> int:
     from .decomp import hartwig_spindelbock, svd
     (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
-    if args.kind == "svd":
-        form = svd(b)
-        _emit({"u": matrix_to_dict(form.u), "sigma": list(form.sigma),
-               "v": matrix_to_dict(form.v)})
-    else:
-        form = hartwig_spindelbock(b)
-        _emit({"u": matrix_to_dict(form.u), "sigma": list(form.sigma),
-               "k": matrix_to_dict(form.k), "l": matrix_to_dict(form.l),
-               "rank": form.r})
+    form = (svd if args.kind == "svd" else hartwig_spindelbock)(b)
+    rest = ({"v": matrix_to_dict(form.v)} if args.kind == "svd" else
+            {"k": matrix_to_dict(form.k), "l": matrix_to_dict(form.l),
+             "rank": form.r})
+    _emit({"u": matrix_to_dict(form.u), "sigma": list(form.sigma), **rest})
     return 0
 
 

@@ -48,6 +48,8 @@ class RunConfig:
             raise MatOrderError("tolerances must be positive and finite")
         if not 1 <= self.dim_min <= self.dim_max:
             raise MatOrderError("need 1 <= dim_min <= dim_max")
+        if self.backend == FLOAT and self.dim_max < 2:
+            raise MatOrderError("the float suite needs dim_max >= 2")
         if self.trials < 0:
             raise MatOrderError("trial count cannot be negative")
 
@@ -148,9 +150,8 @@ def check_space_crosschecks(cfg: RunConfig, rng: random.Random):
     rpt = RELATIONS["space"](a, b, cfg.tol, cfg.rank_factor, inner_samples=5,
                              rng=rng)
     w = rpt.witnesses
-    if not w["projector_agrees"]:
-        return _ce(kind, a, b, witnesses=w)
-    if rpt.verdict and w["inner_inverse_identities"] is False:
+    if not w["projector_agrees"] or (rpt.verdict and
+                                     w["inner_inverse_identities"] is False):
         return _ce(kind, a, b, witnesses=w)
     return None
 
@@ -177,9 +178,10 @@ def check_backend_agreement(cfg: RunConfig, rng: random.Random):
     m, n = _dims(cfg, rng)
     a = Matrix.exact([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])
     af = a.to_float()
-    if rank(a) != rank(af, cfg.rank_factor):
+    exact_rank, float_rank = rank(a), rank(af, cfg.rank_factor)
+    if exact_rank != float_rank:
         return {"kind": "rank", "a": matrix_to_dict(a),
-                "exact_rank": rank(a), "float_rank": rank(af, cfg.rank_factor)}
+                "exact_rank": exact_rank, "float_rank": float_rank}
     if not matrices_equal(moore_penrose(a).to_float(),
                           moore_penrose(af, cfg.rank_factor), cfg.tol):
         return {"kind": "pinv", "a": matrix_to_dict(a)}

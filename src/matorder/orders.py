@@ -71,8 +71,7 @@ def _check_pair(a: Matrix, b: Matrix):
 
 
 def _max_margin(ratios) -> Optional[float]:
-    vals = [r for r in ratios if r is not None]
-    return max(vals) if vals else None
+    return max((r for r in ratios if r is not None), default=None)
 
 
 def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -191,7 +190,6 @@ def _random_param(rows: int, cols: int, backend: str, rng: random.Random) -> Mat
 def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                 rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order: the space pre-order plus A B* A = A A* A."""
-    _check_pair(a, b)
     space = leq_space(a, b, tol, rank_factor)
     sandwich, ratio = _compare(a @ b.ct @ a, a @ a.ct @ a, tol)
     return OrderReport("diamond", space.verdict and sandwich, "definition", {

@@ -13,7 +13,7 @@ projectors a a+ and a+ a are kept on a, one per rank_factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ShapeError
 from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, exact_rref, float_svd,
@@ -40,8 +40,7 @@ class PenroseResiduals:
         return all(self.satisfied)
 
     def to_dict(self) -> dict:
-        return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4,
-                "satisfied": list(self.satisfied)}
+        return dict(asdict(self), satisfied=list(self.satisfied))
 
 
 def penrose_residuals(a: Matrix, x: Matrix, tol: float = EQ_TOL) -> PenroseResiduals:

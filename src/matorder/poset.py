@@ -2,9 +2,11 @@
 
 Builds the directed graph of a chosen relation on labeled matrices,
 collapses mutually comparable elements into one node (relevant for the
-space pre-order and for duplicate inputs), and keeps only covering edges,
-i.e. the transitive reduction of the strict order between nodes. The DOT
-rendering lists every node and one edge per cover.
+space pre-order and for duplicate inputs): each input joins the first
+class whose first member it is mutually comparable with. It keeps only
+covering edges, i.e. the transitive reduction of the strict order between
+nodes, in one pass that emits them sorted. The DOT rendering lists every
+node and one edge per cover.
 
 The relation's verdicts on all pairs come from ``orders.verdict_table``,
 which also refuses an unknown relation and a family that is not equally
@@ -38,44 +40,31 @@ class PosetGraph:
 
 def build_poset(items, relation: str = "diamond", tol: float = EQ_TOL,
                 rank_factor: float = RANK_FACTOR) -> PosetGraph:
-    """Cover diagram of the relation over [(label, matrix), ...]."""
-    labels = [label for label, _ in items]
-    mats = [m for _, m in items]
-    leq = verdict_table(mats, relation, tol, rank_factor)
-    n = len(mats)
+    """Cover diagram of the relation over [(label, matrix), ...].
 
-    # merge mutually comparable inputs into one node
-    assigned = [-1] * n
-    groups = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        group = [i]
-        assigned[i] = len(groups)
-        for j in range(i + 1, n):
-            if assigned[j] < 0 and leq[i][j] and leq[j][i]:
-                group.append(j)
-                assigned[j] = len(groups)
-        groups.append(group)
+    An input joins the first class whose first member it is mutually
+    comparable with, or starts a class of its own. Classes are compared
+    through their first members, and a strict pair is a cover unless a
+    third class lies between; covers come out sorted as (lower, upper).
+    """
+    leq = verdict_table([m for _, m in items], relation, tol, rank_factor)
+    # merge mutually comparable inputs into one class
+    classes = []
+    for i in range(len(items)):
+        for members in classes:
+            if leq[members[0]][i] and leq[i][members[0]]:
+                members.append(i)
+                break
+        else:
+            classes.append([i])
 
-    g = len(groups)
-    strict = [[False] * g for _ in range(g)]
-    for gi in range(g):
-        for gj in range(g):
-            if gi != gj:
-                strict[gi][gj] = leq[groups[gi][0]][groups[gj][0]]
-
-    edges = []
-    for gi in range(g):
-        for gj in range(g):
-            if not strict[gi][gj]:
-                continue
-            if any(strict[gi][gk] and strict[gk][gj] for gk in range(g)):
-                continue
-            edges.append((gi, gj))
-
-    nodes = tuple(tuple(labels[i] for i in group) for group in groups)
-    return PosetGraph(relation, nodes, tuple(sorted(edges)))
+    firsts = [members[0] for members in classes]
+    strict = [[x != y and leq[x][y] for y in firsts] for x in firsts]
+    g = range(len(classes))
+    edges = tuple((lo, hi) for lo in g for hi in g if strict[lo][hi]
+                  and not any(strict[lo][mid] and strict[mid][hi] for mid in g))
+    nodes = tuple(tuple(items[i][0] for i in members) for members in classes)
+    return PosetGraph(relation, nodes, edges)
 
 
 def to_dot(graph: PosetGraph) -> str:

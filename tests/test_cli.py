@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from matorder import EQ_TOL, MatOrderError, Matrix, leq_space, matrix_to_json
 from matorder.cli import _emit, main
+from matorder.fuzz import EXACT_PROPERTIES
 from matorder.orders import DIAMOND_ROUTES, RELATIONS
 
 A = Matrix.exact([[0, 1], [0, 0]])
@@ -205,6 +206,23 @@ def test_fuzz_zero_trials(capsys):
     code, out, _ = run(capsys, "fuzz", "--trials", "0")
     assert code == 0
     assert json.loads(out)["properties"] == []
+
+
+def test_fuzz_dim_max_one(capsys):
+    # float pairs are at least 2 x 2, so the float suite refuses the bound
+    # as a usage error; the exact suite runs 1 x 1 pairs as before
+    code, out, err = run(capsys, "--backend", "float", "fuzz", "--trials", "1",
+                         "--dim-max", "1")
+    assert code == 2 and out == ""
+    assert err == "error: the float suite needs dim_max >= 2\n"
+    code, out, _ = run(capsys, "fuzz", "--trials", "1", "--dim-max", "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "backend": "exact", "seed": 0, "trials": 1, "tol": EQ_TOL,
+        "dims": [1, 1], "failures": 0,
+        "properties": [{"name": name, "trials": 1, "failures": 0,
+                        "first_counterexample": None}
+                       for name, _ in EXACT_PROPERTIES]}
 
 
 def test_fuzz_deterministic(capsys):

@@ -35,6 +35,15 @@ def test_config_validation():
         RunConfig(trials=-1)
 
 
+def test_float_config_needs_square_pairs_of_size_two():
+    # the float properties draw n from max(2, dim_min)..dim_max, an empty
+    # range at dim_max 1 that once ended the run in a ValueError
+    with pytest.raises(MatOrderError, match="dim_max >= 2"):
+        RunConfig(backend=FLOAT, dim_max=1)
+    assert RunConfig(backend=FLOAT, dim_max=2).dim_max == 2
+    assert RunConfig(backend=EXACT, dim_max=1).dim_max == 1
+
+
 @pytest.mark.parametrize("knob", ["tol", "rank_factor"])
 def test_config_refuses_an_infinite_knob(knob):
     # inf once passed here and stopped run_all at its first float rank or

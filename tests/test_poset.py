@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matorder import poset
 from matorder import (FLOAT, DomainError, MatOrderError, Matrix, PosetGraph,
                       ShapeError, build_poset, leq_minus, to_dot)
 from matorder.orders import verdict_table
@@ -62,6 +65,63 @@ def test_rank_factor_reaches_the_relation():
     g = build_poset([("a", a), ("b", b)], relation="minus", rank_factor=1e3)
     assert g.nodes == (("a", "b"),)
     assert len(build_poset([("a", a), ("b", b)], relation="minus").nodes) == 2
+
+
+def _reference_classes_and_covers(leq):
+    """Classes and covers of a verdict table, written out step by step (an
+    assigned list, a strict table, a triple loop, a final sort) as an
+    oracle for ``build_poset``."""
+    n = len(leq)
+    assigned = [-1] * n
+    groups = []
+    for i in range(n):
+        if assigned[i] >= 0:
+            continue
+        group = [i]
+        assigned[i] = len(groups)
+        for j in range(i + 1, n):
+            if assigned[j] < 0 and leq[i][j] and leq[j][i]:
+                group.append(j)
+                assigned[j] = len(groups)
+        groups.append(group)
+
+    g = len(groups)
+    strict = [[False] * g for _ in range(g)]
+    for gi in range(g):
+        for gj in range(g):
+            if gi != gj:
+                strict[gi][gj] = leq[groups[gi][0]][groups[gj][0]]
+
+    edges = []
+    for gi in range(g):
+        for gj in range(g):
+            if not strict[gi][gj]:
+                continue
+            if any(strict[gi][gk] and strict[gk][gj] for gk in range(g)):
+                continue
+            edges.append((gi, gj))
+    return tuple(tuple(group) for group in groups), tuple(sorted(edges))
+
+
+@st.composite
+def _tables(draw):
+    """A k x k verdict table, k in 0..8, true on the diagonal and free off
+    it: mutual comparability may be non-transitive and the strict part
+    cyclic, as a float tolerance allows."""
+    k = draw(st.integers(0, 8))
+    return [[i == j or draw(st.booleans()) for j in range(k)] for i in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_build_poset_matches_the_reference_on_any_table(table):
+    labels = ["m%d" % i for i in range(len(table))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poset, "verdict_table", lambda mats, *args: table)
+        g = build_poset([(label, None) for label in labels])
+    groups, edges = _reference_classes_and_covers(table)
+    assert g.nodes == tuple(tuple(labels[i] for i in group) for group in groups)
+    assert g.edges == edges
 
 
 def test_validation_errors():

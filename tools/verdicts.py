@@ -18,11 +18,13 @@ VERDICTS.json) and exits 1 on any difference, 0 when the regenerated file
 would be byte-identical.
 
 With --stdout, it instead writes the seed-1 cli pool's input files to
-DIR/inputs, runs each of its commands and the two fuzz runs as a
-``python -m matorder.cli`` process in that directory, and writes each
-run's argv, raw stdout, raw stderr and exit code to DIR/cli/NN or
-DIR/fuzz-exact and DIR/fuzz-float. Float margins and error messages are
-part of that output. It also writes DIR/reports: for every relation and
+DIR/inputs, runs each of its commands, the two fuzz runs and the two
+decompositions (``decompose svd fa.json`` and ``decompose hs base.json``,
+which no pool command runs) as a ``python -m matorder.cli`` process in
+that directory, and writes each run's argv, raw stdout, raw stderr and
+exit code to DIR/cli/NN, DIR/fuzz-exact and DIR/fuzz-float, or
+DIR/decompose-svd and DIR/decompose-hs. Float margins and error messages
+are part of that output. It also writes DIR/reports: for every relation and
 alternative diamond route on every unit of the seed-1 exact-battery and
 float-battery pools, run in this process, the sorted-key JSON of the
 report's ``to_dict()``, every witness and margin included, or the type of
@@ -63,6 +65,9 @@ SEEDS = {"exact-battery": range(1, 4), "float-battery": range(1, 11),
 REPORT_POOLS = ("exact-battery", "float-battery")
 FUZZ = {"fuzz/exact": ["fuzz", "--trials", "200"],
         "fuzz/float": ["--backend", "float", "fuzz", "--trials", "100"]}
+# run by --stdout only, on inputs of the seed-1 cli pool
+DECOMPOSE = {"decompose/svd": ["decompose", "svd", "fa.json"],
+             "decompose/hs": ["decompose", "hs", "base.json"]}
 
 
 def load_workloads():
@@ -171,9 +176,9 @@ def family_lines(workloads, workdir: Path) -> list:
 
 
 def dump_stdout(directory: Path):
-    """Write the raw output of every cli command and fuzz run, the
-    battery reports and the family's predecessors under ``directory``,
-    which must not exist yet."""
+    """Write the raw output of every cli command, fuzz run and
+    decomposition, the battery reports and the family's predecessors
+    under ``directory``, which must not exist yet."""
     directory.mkdir(parents=True)
     inputs = directory / "inputs"
     workloads = load_workloads()
@@ -181,7 +186,7 @@ def dump_stdout(directory: Path):
     for i, argv in enumerate(unit["commands"], 1):
         argv = [w[1:] if w.startswith("@") else w for w in argv]
         run_cli(argv, inputs, directory / "cli" / ("%02d" % i))
-    for key, argv in FUZZ.items():
+    for key, argv in {**FUZZ, **DECOMPOSE}.items():
         run_cli(argv, inputs, directory / key.replace("/", "-"))
     with tempfile.TemporaryDirectory() as tmp:
         reports = report_lines(workloads, Path(tmp))
@@ -220,8 +225,8 @@ def main(argv) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare with FILE instead of writing it")
     mode.add_argument("--stdout", type=Path, metavar="DIR",
-                      help="write the raw output of the cli commands and "
-                           "fuzz runs under DIR instead")
+                      help="write the raw output of the cli commands, "
+                           "fuzz runs and decompositions under DIR instead")
     parser.add_argument("file", nargs="?", type=Path, default=ROOT / "VERDICTS.json")
     args = parser.parse_args(argv)
     if args.stdout:
