@@ -26,11 +26,16 @@ from .pinv import moore_penrose
 
 
 def _load(path: str) -> Matrix:
+    """The matrix in the JSON file ``path``; an error that reading or
+    parsing it raises names the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise MatOrderError("cannot read %s: %s" % (path, exc)) from exc
-    return matrix_from_json(text)
+    try:
+        return matrix_from_json(text)
+    except MatOrderError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from exc
 
 
 def _resolve_backend(args, mats, need_float: bool = False):

@@ -19,7 +19,8 @@ through ``_compare`` (``matrices_equal`` is its verdict), and rank counts
 singular values above a spectral cutoff, or above a caller's floor
 (``_rank``): ``rank_floor``, such a bound raised to the operands' own
 spectral cutoff. Each arithmetic kernel is one numpy expression on the
-stored arrays. What a matrix keeps of its own (adjoint, elimination, SVD,
+stored arrays; the exact elimination alone updates lists of int rows
+(``_gauss_jordan``). What a matrix keeps of its own (adjoint, elimination, SVD,
 the ``memoized`` factorizations) is read and written only by ``_kept``, and
 so is what it keeps for a partner: a value built from the two matrices,
 owned by a weak reference to the partner, as an adjoint refers weakly
@@ -51,7 +52,6 @@ EPS = 2.0 ** -52
 
 # backend -> dtype of its arrays
 _DTYPE = {EXACT: object, FLOAT: complex}
-_DIVMOD = np.frompyfunc(divmod, 2, 2)
 # the dtype kinds of numbers: bool, signed and unsigned int, float, complex
 _NUMERIC = "biufc"
 
@@ -606,14 +606,6 @@ def is_zero_matrix(a: Matrix, tol: float = EQ_TOL) -> bool:
     return matrices_equal(a, Matrix.zeros(a.rows, a.cols, a.backend), tol)
 
 
-def _exact_quotient(x, n):
-    """x // n for an object array x of ints, which n must divide exactly."""
-    q, rem = _DIVMOD(x, n)
-    if rem.any():
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
 def _elimination(a: Matrix) -> tuple:
     """``_gauss_jordan(a)``, run once per matrix and kept on a under
     ``"gauss_jordan"``."""
@@ -633,40 +625,61 @@ def _gauss_jordan(a: Matrix):
     every pivot entry of the final rows re + i·im, read-only arrays, equals
     ``last``, a Gaussian integer (re, im) pair, so those rows divided by it
     are the reduced row echelon form of a; ``pivots`` is a tuple.
+
+    The rows are lists of Python ints, so that a step builds no
+    whole-matrix object temporaries and skips the entries it cannot change:
+    left of column c the pivot row is zero, and so is every row below it,
+    which is therefore updated from c on only; a row above it is updated on
+    every column, where left of c the step only scales it by p/q.
     """
     re, im, _ = a.integer_form
-    re, im = re.copy(), im.copy()
+    re, im = re.tolist(), im.tolist()
     pivots = []
     qr, qi = 1, 0
     for c in range(a.cols):
         r = len(pivots)
         if r == a.rows:
             break
-        nonzero = np.flatnonzero((re[r:, c] != 0) | (im[r:, c] != 0))
-        if not nonzero.size:
+        k = next((i for i in range(r, a.rows) if re[i][c] or im[i][c]), None)
+        if k is None:
             continue
-        k = r + int(nonzero[0])
-        if k != r:
-            re[[r, k]] = re[[k, r]]
-            im[[r, k]] = im[[k, r]]
-        pr, pi = re[r, c], im[r, c]
-        row_re, row_im = re[r].copy(), im[r].copy()
-        col_re, col_im = re[:, c:c + 1].copy(), im[:, c:c + 1].copy()
-        xr = pr * re - pi * im - (col_re * row_re - col_im * row_im)
-        xi = pr * im + pi * re - (col_re * row_im + col_im * row_re)
-        if qi:
-            # x / q = x·conj(q) / |q|^2
-            xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
-            norm = qr * qr + qi * qi
-        else:
-            norm = qr
-        if norm != 1:
-            xr, xi = _exact_quotient(xr, norm), _exact_quotient(xi, norm)
-        re, im = xr, xi
-        re[r], im[r] = row_re, row_im
+        re[r], re[k] = re[k], re[r]
+        im[r], im[k] = im[k], im[r]
+        pr, pi = re[r][c], im[r][c]
+        # x / q = x·conj(q) / |q|^2, so x becomes (s·x − t·row) / norm with
+        # s = p·conj(q) and t = x[c]·conj(q)
+        sr, si = pr * qr + pi * qi, pi * qr - pr * qi
+        norm = qr * qr + qi * qi
+        for i in range(a.rows):
+            if i == r:
+                continue
+            lo = 0 if i < r else c
+            xr, xi = re[i], im[i]
+            tr, ti = xr[c] * qr + xi[c] * qi, xi[c] * qr - xr[c] * qi
+            part = list(zip(xr[lo:], xi[lo:], re[r][lo:], im[r][lo:]))
+            yr = [sr * x - si * y - tr * u + ti * v for x, y, u, v in part]
+            yi = [sr * y + si * x - tr * v - ti * u for x, y, u, v in part]
+            re[i] = xr[:lo] + _exact_quotients(yr, norm)
+            im[i] = xi[:lo] + _exact_quotients(yi, norm)
         pivots.append(c)
         qr, qi = pr, pi
-    return _read_only(re), _read_only(im), (qr, qi), tuple(pivots)
+    return _int_array(re, a.shape), _int_array(im, a.shape), (qr, qi), tuple(pivots)
+
+
+def _exact_quotients(xs: list, n: int) -> list:
+    """The ints x // n for x in xs, each of which n must divide exactly."""
+    if n == 1:
+        return xs
+    qs = [x // n for x in xs]
+    # n > 0 leaves remainders in [0, n), so all are 0 exactly when they sum to 0
+    if sum(xs) != n * sum(qs):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return qs
+
+
+def _int_array(rows: list, shape: tuple):
+    """The read-only object array of the int rows ``rows``."""
+    return _read_only(np.array(rows, dtype=object).reshape(shape))
 
 
 def exact_rref(a: Matrix):

@@ -274,6 +274,27 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_load_error_names_the_file(files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out, err = run(capsys, "check", "--order", "diamond",
+                         files("a.json", A), str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: invalid JSON: " % bad)
+    assert err.count("\n") == 1
+
+
+def test_poset_load_error_names_the_file(tmp_path, capsys):
+    corpus = tmp_path / "mats"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(matrix_to_json(A))
+    (corpus / "bad.json").write_text('{"rows": 1}')
+    code, out, err = run(capsys, "poset", str(corpus))
+    assert code == 2 and out == ""
+    assert err == ("error: %s: matrix object needs rows/cols/backend/entries\n"
+                   % (corpus / "bad.json"))
+
+
 def test_non_finite_entries_are_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"rows": 1, "cols": 2, "backend": "float", '

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -453,6 +453,84 @@ def test_exact_stack_agrees_with_sympy():
             assert residual.is_zero_matrix
 
     check()
+
+
+_DIVMOD = np.frompyfunc(divmod, 2, 2)
+
+
+def _array_quotient(x, n):
+    q, rem = _DIVMOD(x, n)
+    if rem.any():
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def array_gauss_jordan(a):
+    """The whole-array form of the fraction-free elimination, the reference
+    for matrix._gauss_jordan: each step updates every other row on every
+    column at once with object-array arithmetic."""
+    re, im, _ = a.integer_form
+    re, im = re.copy(), im.copy()
+    pivots = []
+    qr, qi = 1, 0
+    for c in range(a.cols):
+        r = len(pivots)
+        if r == a.rows:
+            break
+        nonzero = np.flatnonzero((re[r:, c] != 0) | (im[r:, c] != 0))
+        if not nonzero.size:
+            continue
+        k = r + int(nonzero[0])
+        if k != r:
+            re[[r, k]] = re[[k, r]]
+            im[[r, k]] = im[[k, r]]
+        pr, pi = re[r, c], im[r, c]
+        row_re, row_im = re[r].copy(), im[r].copy()
+        col_re, col_im = re[:, c:c + 1].copy(), im[:, c:c + 1].copy()
+        xr = pr * re - pi * im - (col_re * row_re - col_im * row_im)
+        xi = pr * im + pi * re - (col_re * row_im + col_im * row_re)
+        if qi:
+            xr, xi = xr * qr + xi * qi, xi * qr - xr * qi
+            norm = qr * qr + qi * qi
+        else:
+            norm = qr
+        if norm != 1:
+            xr, xi = _array_quotient(xr, norm), _array_quotient(xi, norm)
+        re, im = xr, xi
+        re[r], im[r] = row_re, row_im
+        pivots.append(c)
+        qr, qi = pr, pi
+    return re, im, (qr, qi), tuple(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_mats())
+@example(Matrix.zeros(0, 3))
+@example(Matrix.zeros(3, 0))
+@example(Matrix.zeros(0, 0))
+def test_elimination_matches_the_array_reference(a):
+    # the raw tuple, not only the reduced form: _left_null reads the rows
+    # unreduced with their common pivot ``last``; inverse eliminates
+    # hstack(a, I), and a·a* brings large numerators
+    for m in (a, hstack(a, Matrix.identity(a.rows)), a @ a.ct):
+        re, im, last, pivots = matrix._gauss_jordan(m)
+        want_re, want_im, want_last, want_pivots = array_gauss_jordan(m)
+        assert (last, pivots) == (want_last, want_pivots)
+        for got, want in ((re, want_re), (im, want_im)):
+            assert got.shape == m.shape and got.dtype == object
+            assert not got.flags.writeable
+            assert got.tolist() == want.tolist()
+            assert all(type(x) is int for x in got.flat)
+        assert all(type(x) is int for x in last)
+
+
+def test_elimination_division_is_exact_or_raises():
+    assert matrix._exact_quotients([6, -9, 0], 3) == [2, -3, 0]
+    # 4 and -4 leave remainders 1 and 2 under floor division, which do not
+    # cancel as the truncated remainders 1 and -1 would
+    for xs in ([4, -4], [1], [6, 7], [-1, 1, 3]):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            matrix._exact_quotients(xs, 3)
 
 
 @st.composite
