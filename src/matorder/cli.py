@@ -19,27 +19,25 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatOrderError
-from .matrix import (EQ_TOL, EXACT, FLOAT, Matrix, matrix_from_json,
-                     matrix_to_dict)
+from .matrix import EQ_TOL, EXACT, FLOAT, matrix_from_json, matrix_to_dict
 from .orders import DIAMOND_ROUTES, RELATIONS
 from .pinv import moore_penrose
 
 
-def _load(path: str) -> Matrix:
-    """The matrix in the JSON file ``path``; an error that reading or
-    parsing it raises names the file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MatOrderError("cannot read %s: %s" % (path, exc)) from exc
-    try:
-        return matrix_from_json(text)
-    except MatOrderError as exc:
-        raise type(exc)("%s: %s" % (path, exc)) from exc
-
-
-def _resolve_backend(args, mats, need_float: bool = False):
-    """Apply --backend to loaded matrices; exact can cast up to float only."""
+def _inputs(args, paths, need_float: bool = False) -> list:
+    """The matrices in the JSON files ``paths``, with --backend applied
+    (exact can cast up to float only); an error that reading or parsing a
+    file raises names it."""
+    mats = []
+    for path in paths:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise MatOrderError("cannot read %s: %s" % (path, exc)) from exc
+        try:
+            mats.append(matrix_from_json(data))
+        except MatOrderError as exc:
+            raise type(exc)("%s: %s" % (path, exc)) from exc
     choice = args.backend
     if choice == FLOAT:
         mats = [m.to_float() for m in mats]
@@ -64,7 +62,7 @@ def _emit(obj):
 
 
 def cmd_check(args) -> int:
-    a, b = _resolve_backend(args, [_load(args.a), _load(args.b)])
+    a, b = _inputs(args, [args.a, args.b])
     if args.via != "definition" and args.order != "diamond":
         raise MatOrderError("--via only applies to --order diamond")
     if args.order == "diamond":
@@ -86,14 +84,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_pinv(args) -> int:
-    (a,) = _resolve_backend(args, [_load(args.matrix)])
+    (a,) = _inputs(args, [args.matrix])
     _emit(matrix_to_dict(moore_penrose(a)))
     return 0
 
 
 def cmd_decompose(args) -> int:
     from .decomp import hartwig_spindelbock, svd
-    (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
+    (b,) = _inputs(args, [args.matrix], need_float=True)
     form = (svd if args.kind == "svd" else hartwig_spindelbock)(b)
     rest = ({"v": matrix_to_dict(form.v)} if args.kind == "svd" else
             {"k": matrix_to_dict(form.k), "l": matrix_to_dict(form.l),
@@ -102,22 +100,24 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _pick_idempotent(args, b: Matrix) -> Matrix:
+def _base_and_idempotent(args):
+    """The float base matrix and its r x r idempotent parameter: the --t
+    file, or one drawn from --seed, of rank --rank (default random)."""
     from .decomp import hartwig_spindelbock
     from .predecessors import random_idempotent
+    (b,) = _inputs(args, [args.matrix], need_float=True)
     if args.t is not None:
-        (t,) = _resolve_backend(args, [_load(args.t)], need_float=True)
-        return t
+        (t,) = _inputs(args, [args.t], need_float=True)
+        return b, t
     hs = hartwig_spindelbock(b)
     rng = random.Random(args.seed)
     k = args.rank if args.rank is not None else rng.randint(0, hs.r)
-    return random_idempotent(hs.r, k, rng)
+    return b, random_idempotent(hs.r, k, rng)
 
 
 def cmd_predecessor(args) -> int:
     from .predecessors import build_predecessor
-    (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
-    t = _pick_idempotent(args, b)
+    b, t = _base_and_idempotent(args)
     bundle = build_predecessor(b, t, args.tol)
     _emit({"idempotent": matrix_to_dict(t),
            "predecessor": matrix_to_dict(bundle.predecessor),
@@ -128,8 +128,7 @@ def cmd_predecessor(args) -> int:
 def cmd_criteria(args) -> int:
     from .predecessors import (dagger_isotone, diamond_predecessor,
                                is_bidagger, reverse_order_law)
-    (b,) = _resolve_backend(args, [_load(args.matrix)], need_float=True)
-    t = _pick_idempotent(args, b)
+    b, t = _base_and_idempotent(args)
     a = diamond_predecessor(b, t, args.tol)
     rol = reverse_order_law(a, b, args.tol)
     bid = is_bidagger(b, args.tol)
@@ -161,7 +160,7 @@ def cmd_poset(args) -> int:
     files = sorted(p for p in root.iterdir() if p.suffix == ".json")
     if not files:
         raise MatOrderError("no .json matrices under %s" % args.directory)
-    mats = _resolve_backend(args, [_load(str(p)) for p in files])
+    mats = _inputs(args, files)
     items = list(zip([p.stem for p in files], mats))
     graph = build_poset(items, args.order, args.tol)
     sys.stdout.write(to_dot(graph))

@@ -828,10 +828,14 @@ def matrix_to_json(a: Matrix) -> str:
     return json.dumps(matrix_to_dict(a))
 
 
-def matrix_from_json(text: str) -> Matrix:
+def matrix_from_json(text: str | bytes) -> Matrix:
+    """The matrix in a JSON document, given as ``str`` or as ``bytes`` in
+    UTF-8 (with or without BOM), UTF-16 or UTF-32, which json.loads tells
+    apart."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:
-        # a JSONDecodeError, or an int literal past int()'s digit limit
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError or UnicodeDecodeError, an int literal past
+        # int()'s digit limit, or nesting past the recursion limit
         raise MatOrderError("invalid JSON: %s" % exc) from exc
     return matrix_from_dict(obj)

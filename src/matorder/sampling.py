@@ -151,24 +151,20 @@ def random_spectrum_matrix(m: int, n: int, r: int, rng: random.Random) -> Matrix
     """Random m x n matrix of rank r with singular values in [1/4, 4]."""
     if r == 0:
         return Matrix.zeros(m, n, FLOAT)
-    u = random_unitary(m, rng)
-    v = random_unitary(n, rng)
-    s = log_uniform_sigma(rng, r)
-    arr = (u.to_ndarray()[:, :r] * np.array(s)) @ v.to_ndarray()[:, :r].conj().T
-    return Matrix.from_ndarray(arr)
+    return _spread(random_unitary(m, rng), random_unitary(n, rng),
+                   log_uniform_sigma(rng, r))
 
 
-def _partial_isometry(u: Matrix, v: Matrix, k: int) -> Matrix:
-    """u [[I_k, 0], [0, 0]] v* for unitary frames u, v."""
-    if k == 0:
-        return Matrix.zeros(u.rows, v.rows, FLOAT)
+def _spread(u: Matrix, v: Matrix, s: tuple) -> Matrix:
+    """u [[diag(s), 0], [0, 0]] v* for unitary frames u, v."""
+    r = len(s)
     return Matrix.from_ndarray(
-        u.to_ndarray()[:, :k] @ v.to_ndarray()[:, :k].conj().T)
+        (u.to_ndarray()[:, :r] * np.array(s)) @ v.to_ndarray()[:, :r].conj().T)
 
 
 def random_partial_isometry(m: int, n: int, k: int, rng: random.Random) -> Matrix:
     """u [[I_k, 0], [0, 0]] v* for random unitary frames u, v."""
-    return _partial_isometry(random_unitary(m, rng), random_unitary(n, rng), k)
+    return _spread(random_unitary(m, rng), random_unitary(n, rng), (1.0,) * k)
 
 
 def partial_isometry_pair(rng: random.Random, m: int, n: int):
@@ -180,7 +176,7 @@ def partial_isometry_pair(rng: random.Random, m: int, n: int):
         v = random_unitary(n, rng)
         j = rng.randint(0, kmax)
         k = rng.randint(j, kmax)
-        return "nested", _partial_isometry(u, v, j), _partial_isometry(u, v, k)
+        return "nested", _spread(u, v, (1.0,) * j), _spread(u, v, (1.0,) * k)
     a = random_partial_isometry(m, n, rng.randint(0, kmax), rng)
     b = random_partial_isometry(m, n, rng.randint(0, kmax), rng)
     return "independent", a, b

@@ -295,6 +295,31 @@ def test_poset_load_error_names_the_file(tmp_path, capsys):
                    % (corpus / "bad.json"))
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff" + random.Random(0).randbytes(199),
+    b"[" * 100000 + b"]" * 100000,
+], ids=["non-utf-8", "nested-100000-deep"])
+@pytest.mark.parametrize("command", ["pinv", "poset"])
+def test_unparsable_bytes_are_a_usage_error(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, command, str(bad if command == "pinv" else tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: invalid JSON: " % bad)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_pinv_reads_every_json_encoding(tmp_path, capsys, encoding):
+    text = matrix_to_json(Matrix.from_complex([[1, 2j], [0.3, 4.5]]))
+    paths = [tmp_path / "utf-8.json", tmp_path / ("%s.json" % encoding)]
+    paths[0].write_bytes(text.encode("utf-8"))
+    paths[1].write_bytes(text.encode(encoding))
+    want = run(capsys, "pinv", str(paths[0]))
+    assert want[0] == 0
+    assert run(capsys, "pinv", str(paths[1])) == want
+
+
 def test_non_finite_entries_are_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"rows": 1, "cols": 2, "backend": "float", '
@@ -503,18 +528,24 @@ def test_cli_is_total_on_json_documents(data):
     via = data.draw(st.sampled_from(sorted(DIAMOND_ROUTES))) if order == "diamond" \
         else "definition"
     backend = data.draw(st.sampled_from([[], ["--backend", "float"]]))
+    # the same documents written in any JSON encoding read the same
+    encoding = data.draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-32"]))
+    texts = [json.dumps(doc, ensure_ascii=False).replace('"%s"' % HUGE_INT, "9" * 5000)
+             for doc in docs]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for i, doc in enumerate(docs):
-            path = Path(tmp) / ("m%d.json" % i)
-            path.write_text(json.dumps(doc).replace('"%s"' % HUGE_INT, "9" * 5000))
-            paths.append(str(path))
-        runs = [backend + ["check", "--order", order, "--via", via] + paths,
-                backend + ["pinv", paths[0]]]
-        for argv in runs:
+        def runs(enc):
+            paths = []
+            for i, text in enumerate(texts):
+                path = Path(tmp) / ("m%d.%s.json" % (i, enc))
+                path.write_bytes(text.encode(enc))
+                paths.append(str(path))
+            return [backend + ["check", "--order", order, "--via", via] + paths,
+                    backend + ["pinv", paths[0]]]
+        for argv, again in zip(runs("utf-8"), runs(encoding)):
             code, out = _run_quietly(argv)
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert out == "", argv
             else:
                 _strict_json(out)
+            assert _run_quietly(again) == (code, out), again

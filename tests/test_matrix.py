@@ -59,6 +59,8 @@ def test_bad_entries_rejected():
     with pytest.raises(MatOrderError):
         Matrix.from_complex([[object()]])
     with pytest.raises(ShapeError):
+        Matrix.from_complex([[1, 2], [3]])
+    with pytest.raises(ShapeError):
         Matrix(2, 2, EXACT, [[gaussian(1)]])
     with pytest.raises(BackendError):
         Matrix(1, 1, "decimal", [[1]])
@@ -229,6 +231,9 @@ def test_stacking_and_block():
         hstack(a, Matrix.exact([[1], [2]]))
     with pytest.raises(ShapeError):
         vstack(a, Matrix.exact([[1], [2]]))
+    for stack in (hstack, vstack):
+        with pytest.raises(ShapeError, match="need at least one matrix"):
+            stack()
 
 
 def test_submatrix_bounds():
@@ -277,6 +282,10 @@ def test_sums_and_differences_refuse_non_matrices(backend):
     with pytest.raises(TypeError):
         a - "x"
     assert a.__add__(1) is NotImplemented and a.__sub__("x") is NotImplemented
+    # nor do products and comparisons
+    with pytest.raises(TypeError):
+        a @ 3
+    assert (a == "x") is False
 
 
 def test_tolerance_bound_adds_the_norms_to_one_in_order():

@@ -22,6 +22,7 @@ def test_equality_across_types_and_hash():
     assert gaussian(3) == 3
     assert gaussian("1/2") == Fraction(1, 2)
     assert gaussian(3, 1) != 3
+    assert (GaussianRational(1) == 1.5) is False
     assert hash(gaussian(2, 5)) == hash(gaussian(2, 5))
     assert not gaussian(0) and gaussian(0, "1/2")
 
@@ -30,3 +31,4 @@ def test_str_forms():
     assert str(gaussian(2)) == "2"
     assert str(gaussian(0, "1/2")) == "1/2i"
     assert str(gaussian(1, -1)) == "1-1i"
+    assert repr(gaussian(1, -2)) == "GaussianRational(1, -2)"
