@@ -3,6 +3,9 @@
 Matrices travel as JSON files (see matrix_to_dict for the wire format).
 Exit codes: 0 for success (for ``check``: the relation holds), 1 for a
 false verdict or failed fuzz property, 2 for any usage or input error.
+Each command returns its exit code and its whole output, which ``main``
+then writes; a reader that closes the pipe early leaves the exit code as
+it was.
 Each command imports the modules it runs, so that a process loads (and,
 without cached bytecode, compiles) no other part of the package.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -53,15 +57,14 @@ def _inputs(args, paths, need_float: bool = False) -> list:
     return mats
 
 
-def _emit(obj):
+def _json_text(obj) -> str:
     try:
-        text = json.dumps(obj, indent=2, allow_nan=False)
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise MatOrderError("result holds a non-finite number") from exc
-    print(text)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     a, b = _inputs(args, [args.a, args.b])
     if args.via != "definition" and args.order != "diamond":
         raise MatOrderError("--via only applies to --order diamond")
@@ -79,25 +82,23 @@ def cmd_check(args) -> int:
     # which JSON cannot spell; any other non-finite value is still refused
     if out["witnesses"].get("margin") == math.inf:
         out["witnesses"] = dict(out["witnesses"], margin=None)
-    _emit(out)
-    return 0 if report.verdict else 1
+    return (0 if report.verdict else 1), _json_text(out)
 
 
-def cmd_pinv(args) -> int:
+def cmd_pinv(args) -> tuple:
     (a,) = _inputs(args, [args.matrix])
-    _emit(matrix_to_dict(moore_penrose(a)))
-    return 0
+    return 0, _json_text(matrix_to_dict(moore_penrose(a)))
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     from .decomp import hartwig_spindelbock, svd
     (b,) = _inputs(args, [args.matrix], need_float=True)
     form = (svd if args.kind == "svd" else hartwig_spindelbock)(b)
     rest = ({"v": matrix_to_dict(form.v)} if args.kind == "svd" else
             {"k": matrix_to_dict(form.k), "l": matrix_to_dict(form.l),
              "rank": form.r})
-    _emit({"u": matrix_to_dict(form.u), "sigma": list(form.sigma), **rest})
-    return 0
+    return 0, _json_text({"u": matrix_to_dict(form.u),
+                          "sigma": list(form.sigma), **rest})
 
 
 def _base_and_idempotent(args):
@@ -115,17 +116,16 @@ def _base_and_idempotent(args):
     return b, random_idempotent(hs.r, k, rng)
 
 
-def cmd_predecessor(args) -> int:
+def cmd_predecessor(args) -> tuple:
     from .predecessors import build_predecessor
     b, t = _base_and_idempotent(args)
     bundle = build_predecessor(b, t, args.tol)
-    _emit({"idempotent": matrix_to_dict(t),
-           "predecessor": matrix_to_dict(bundle.predecessor),
-           "pinv": matrix_to_dict(bundle.predecessor_pinv)})
-    return 0
+    return 0, _json_text({"idempotent": matrix_to_dict(t),
+                          "predecessor": matrix_to_dict(bundle.predecessor),
+                          "pinv": matrix_to_dict(bundle.predecessor_pinv)})
 
 
-def cmd_criteria(args) -> int:
+def cmd_criteria(args) -> tuple:
     from .predecessors import (dagger_isotone, diamond_predecessor,
                                is_bidagger, reverse_order_law)
     b, t = _base_and_idempotent(args)
@@ -133,26 +133,24 @@ def cmd_criteria(args) -> int:
     rol = reverse_order_law(a, b, args.tol)
     bid = is_bidagger(b, args.tol)
     iso = dagger_isotone(b, t, args.tol)
-    _emit({
+    return 0, _json_text({
         "idempotent": matrix_to_dict(t),
         "reverse_order_law": {"direct": rol[0], "criterion": rol[1]},
         "bidagger": {"direct": bid[0], "criterion": bid[1]},
         "dagger_isotone": {"direct": iso[0], "criterion": iso[1]},
     })
-    return 0
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> tuple:
     from .fuzz import RunConfig, run_all
     cfg = RunConfig(backend=args.backend or EXACT, tol=args.tol,
                     seed=args.seed, trials=args.trials,
                     dim_min=args.dim_min, dim_max=args.dim_max)
     summary = run_all(cfg)
-    _emit(summary)
-    return 0 if summary["failures"] == 0 else 1
+    return (0 if summary["failures"] == 0 else 1), _json_text(summary)
 
 
-def cmd_poset(args) -> int:
+def cmd_poset(args) -> tuple:
     from .poset import build_poset, to_dot
     root = Path(args.directory)
     if not root.is_dir():
@@ -162,9 +160,7 @@ def cmd_poset(args) -> int:
         raise MatOrderError("no .json matrices under %s" % args.directory)
     mats = _inputs(args, files)
     items = list(zip([p.stem for p in files], mats))
-    graph = build_poset(items, args.order, args.tol)
-    sys.stdout.write(to_dot(graph))
-    return 0
+    return 0, to_dot(build_poset(items, args.order, args.tol))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,10 +233,21 @@ def main(argv=None) -> int:
         # Matrix turns an overflow into a DomainError, so numpy's warning
         # about the same overflow would only be noise on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            code, text = args.func(args)
     except MatOrderError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is left of the output goes to devnull,
+        # so the flush at exit does not fail again (the signal module's
+        # note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import reprlib
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -43,7 +44,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.backend not in (EXACT, FLOAT):
-            raise MatOrderError("unknown backend %r" % self.backend)
+            raise MatOrderError("unknown backend %s" % reprlib.repr(self.backend))
         if not (0 < self.tol < math.inf and 0 < self.rank_factor < math.inf):
             raise MatOrderError("tolerances must be positive and finite")
         if not 1 <= self.dim_min <= self.dim_max:

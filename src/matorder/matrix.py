@@ -34,6 +34,7 @@ import json
 import math
 import numbers
 import operator
+import reprlib
 import weakref
 from fractions import Fraction
 from typing import Sequence
@@ -60,7 +61,7 @@ def _dtype(rows: int, cols: int, backend: str):
     if rows < 0 or cols < 0:
         raise ShapeError("negative dimension")
     if backend not in _DTYPE:
-        raise BackendError("unknown backend %r" % backend)
+        raise BackendError("unknown backend %s" % reprlib.repr(backend))
     return _DTYPE[backend]
 
 
@@ -74,13 +75,14 @@ def _parts(value) -> tuple:
     elif isinstance(value, (int, str, Fraction)):
         re, im = value, 0
     else:
-        raise MatOrderError("cannot place %r in an exact matrix" % (value,))
+        raise MatOrderError("cannot place %s in an exact matrix" % reprlib.repr(value))
     try:
         return as_rational(re), as_rational(im)
     except MatOrderError:
         raise
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise MatOrderError("cannot place %r in an exact matrix" % (value,)) from exc
+        raise MatOrderError("cannot place %s in an exact matrix"
+                            % reprlib.repr(value)) from exc
 
 
 def _read_only(arr):
@@ -140,7 +142,7 @@ def _coerce_float(value) -> complex:
     GaussianRational. Anything else, a string or None included, is a
     MatOrderError."""
     if not isinstance(value, (numbers.Complex, GaussianRational)):
-        raise MatOrderError("cannot place %r in a float matrix" % (value,))
+        raise MatOrderError("cannot place %s in a float matrix" % reprlib.repr(value))
     try:
         return complex(value)
     except OverflowError as exc:
@@ -559,20 +561,29 @@ def _compare(a: Matrix, b: Matrix, tol: float) -> tuple:
     return diff <= bound, margin
 
 
+# below this norm the sum of squares nears the subnormal range, 2^-1022
+_TINY_NORM = 2.0 ** -485
+
+
 def float_norm(arr) -> float:
     """Frobenius norm of a finite complex array, as ``Matrix.frobenius``
     computes it on the float backend: ``float(np.linalg.norm(arr))`` bit for
-    bit, by numpy's own formula without its dispatch."""
+    bit, by numpy's own formula without its dispatch, except where that
+    overflows or falls below ``_TINY_NORM``: there the formula runs on the
+    entries scaled by a power of two."""
     # numpy ravels in memory order; a C-order ravel of a transposed or
     # sliced view would sum the squares in another order
     x = arr.ravel(order="K")
     re, im = x.real, x.imag
     norm = math.sqrt(re.dot(re) + im.dot(im))
-    if norm == math.inf:
-        # the squares of entries beyond 1e154 overflowed: compute again
-        # on the entries scaled by a power of two, which is exact
+    if norm == math.inf or (norm < _TINY_NORM and np.count_nonzero(x)):
+        # the squares of entries beyond 1e154 overflowed, or those of
+        # entries this small lost bits: compute again on the entries scaled
+        # by a power of two, which is exact; their float parts are divided,
+        # as a complex division by 2^-1024 or less overflows in 1 / scale
         scale = math.ldexp(1.0, math.frexp(np.abs(arr).max())[1] - 1)
-        norm = scale * float(np.linalg.norm(arr / scale))
+        y = (x.view(np.float64) / scale).view(complex)
+        norm = scale * math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
         if norm == math.inf:
             raise DomainError("Frobenius norm beyond the float range")
     return norm
@@ -789,7 +800,7 @@ def matrix_from_dict(d: dict) -> Matrix:
     except (KeyError, TypeError) as exc:
         raise MatOrderError("matrix object needs rows/cols/backend/entries") from exc
     if backend not in (EXACT, FLOAT):
-        raise MatOrderError("unknown backend %r" % (backend,))
+        raise MatOrderError("unknown backend %s" % reprlib.repr(backend))
     if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise MatOrderError("rows/cols must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows:
@@ -810,7 +821,8 @@ def matrix_from_dict(d: dict) -> Matrix:
                 except MatOrderError:
                     raise
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise MatOrderError("bad rational %r" % ((re, im),)) from exc
+                    raise MatOrderError("bad rational %s"
+                                        % reprlib.repr((re, im))) from exc
             else:
                 if isinstance(re, bool) or isinstance(im, bool) or \
                         not isinstance(re, (int, float)) or not isinstance(im, (int, float)):

@@ -24,20 +24,18 @@ separate functions, all provably equivalent to the definition: the minus
 relation between pseudoinverses, a range direct-sum split, and a rank
 condition; dedicated suites assert the agreement on random inputs.
 
-Callers that read only the diamond verdict (the cover diagram, the
-criteria, the witness constructions) use ``diamond_verdict``, which
-returns that boolean without building the report. ``diamond_table``
-returns the verdicts of every ordered pair of a float family, the same
-as ``diamond_verdict`` on each, with one stacked product per row for the
-sandwich identities; it holds one row, O(k·m·n) entries, at a time.
-``verdict_table`` returns that table for any relation in ``RELATIONS``,
-through those two for diamond; the cover diagram reads it.
+A report's verdict is decided when it is made and its witnesses on their
+first read, so callers that read only verdicts (the cover diagram, the
+criteria, the fuzz implications) pay for no witness. ``diamond_table``
+decides every ordered pair of a float family in the diamond order, with
+one stacked product per row for the sandwich identities, holding one row,
+O(k·m·n) entries, at a time; ``verdict_table`` returns the table of any
+relation in ``RELATIONS``, through it for a float diamond family.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -51,17 +49,29 @@ from .pinv import (_inner_inverse, moore_penrose, projector_range,
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
 
 
-@dataclass(frozen=True)
 class OrderReport:
-    """Outcome of one order comparison."""
+    """Outcome of one order comparison: the verdict, decided by the call
+    that made the report, and its witnesses, a dict or a zero-argument
+    function returning one, which the first read of ``witnesses`` calls and
+    replaces by its dict, so the report stops holding the compared pair."""
 
-    relation: str
-    verdict: bool
-    characterization: str
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, relation: str, verdict: bool, characterization: str,
+                 witnesses=None):
+        self.relation = relation
+        self.verdict = verdict
+        self.characterization = characterization
+        self._witnesses = {} if witnesses is None else witnesses
+
+    @property
+    def witnesses(self) -> dict:
+        if callable(self._witnesses):
+            self._witnesses = self._witnesses()
+        return self._witnesses
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"relation": self.relation, "verdict": self.verdict,
+                "characterization": self.characterization,
+                "witnesses": dict(self.witnesses)}
 
 
 def _check_pair(a: Matrix, b: Matrix):
@@ -79,22 +89,23 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """Star order: A*A = A*B and AA* = BA*.
 
     The equivalent pseudoinverse form A+A = A+B, AA+ = BA+ is evaluated
-    as well and recorded for cross-checking.
+    for the witnesses and recorded for cross-checking.
     """
     _check_pair(a, b)
     act = a.ct
     g_left, m1 = _compare(act @ a, act @ b, tol)
     g_right, m2 = _compare(a @ act, b @ act, tol)
-    ad = moore_penrose(a, rank_factor)
-    d_left, m3 = _compare(projector_rowspace(a, rank_factor), ad @ b, tol)
-    d_right, m4 = _compare(projector_range(a, rank_factor), b @ ad, tol)
     verdict = g_left and g_right
-    return OrderReport("star", verdict, "definition", {
-        "gram_left": g_left, "gram_right": g_right,
-        "dagger_left": d_left, "dagger_right": d_right,
-        "dagger_agrees": (d_left and d_right) == verdict,
-        "margin": _max_margin([m1, m2, m3, m4]),
-    })
+
+    def witnesses():
+        ad = moore_penrose(a, rank_factor)
+        d_left, m3 = _compare(projector_rowspace(a, rank_factor), ad @ b, tol)
+        d_right, m4 = _compare(projector_range(a, rank_factor), b @ ad, tol)
+        return {"gram_left": g_left, "gram_right": g_right,
+                "dagger_left": d_left, "dagger_right": d_right,
+                "dagger_agrees": (d_left and d_right) == verdict,
+                "margin": _max_margin([m1, m2, m3, m4])}
+    return OrderReport("star", verdict, "definition", witnesses)
 
 
 def _difference(a: Matrix, b: Matrix, tol: float) -> Matrix:
@@ -135,42 +146,40 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     The verdict comes from the two range inclusions. The equivalent
     formulation A = B G A = A G B over inner inverses G of B is verified
     against the pseudoinverse and recorded in the witnesses. Sampled G
-    cross-check it only when ``inner_samples > 0``: that many are drawn
-    from ``rng`` (default ``random.Random(0)``) and
-    ``inner_inverse_identities`` records whether all passed; otherwise no
-    sample is drawn, ``rng`` is left untouched and that witness is None.
+    cross-check it only when ``inner_samples > 0``: the call draws that many
+    from ``rng`` (default ``random.Random(0)``) before any witness is read,
+    and ``inner_inverse_identities`` records whether all passed; otherwise
+    no sample is drawn, ``rng`` is left untouched and that witness is None.
     """
     _check_pair(a, b)
     col_ok = subspace_leq(a, b, rank_factor)
     row_ok = subspace_leq(a.ct, b.ct, rank_factor)
     verdict = col_ok and row_ok
+    if inner_samples > 0 and rng is None:
+        rng = random.Random(0)
+    params = [_random_param(a.cols, a.rows, a.backend, rng)
+              for _ in range(inner_samples)]
 
-    bd = moore_penrose(b, rank_factor)
-    p1, m1 = _compare(projector_range(b, rank_factor) @ a, a, tol)
-    p2, m2 = _compare(a @ bd @ b, a, tol)
-    proj_ok = p1 and p2
-    ratios = [m1, m2]
-
-    sampled_ok = None
-    if inner_samples > 0:
-        if rng is None:
-            rng = random.Random(0)
-        sampled_ok = True
-        for _ in range(inner_samples):
-            w = _random_param(a.cols, a.rows, a.backend, rng)
+    def witnesses():
+        bd = moore_penrose(b, rank_factor)
+        p1, m1 = _compare(projector_range(b, rank_factor) @ a, a, tol)
+        p2, m2 = _compare(a @ bd @ b, a, tol)
+        proj_ok = p1 and p2
+        ratios = [m1, m2]
+        sampled_ok = True if params else None
+        for w in params:
             g = _inner_inverse(b, w, rank_factor)
             s1, r1 = _compare(b @ g @ a, a, tol)
             s2, r2 = _compare(a @ g @ b, a, tol)
             ratios.extend([r1, r2])
             if not (s1 and s2):
                 sampled_ok = False
-    return OrderReport("space", verdict, "definition", {
-        "range_inclusion": col_ok, "row_range_inclusion": row_ok,
-        "projector_identities": proj_ok,
-        "projector_agrees": proj_ok == verdict,
-        "inner_inverse_identities": sampled_ok,
-        "margin": _max_margin(ratios),
-    })
+        return {"range_inclusion": col_ok, "row_range_inclusion": row_ok,
+                "projector_identities": proj_ok,
+                "projector_agrees": proj_ok == verdict,
+                "inner_inverse_identities": sampled_ok,
+                "margin": _max_margin(ratios)}
+    return OrderReport("space", verdict, "definition", witnesses)
 
 
 def _random_param(rows: int, cols: int, backend: str, rng: random.Random) -> Matrix:
@@ -189,34 +198,26 @@ def _random_param(rows: int, cols: int, backend: str, rng: random.Random) -> Mat
 
 def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                 rank_factor: float = RANK_FACTOR) -> OrderReport:
-    """Diamond order: the space pre-order plus A B* A = A A* A."""
-    space = leq_space(a, b, tol, rank_factor)
-    sandwich, ratio = _compare(a @ b.ct @ a, a @ a.ct @ a, tol)
-    return OrderReport("diamond", space.verdict and sandwich, "definition", {
-        "space": space.verdict, "sandwich": sandwich,
-        "range_inclusion": space.witnesses["range_inclusion"],
-        "row_range_inclusion": space.witnesses["row_range_inclusion"],
-        "margin": _max_margin([space.witnesses["margin"], ratio]),
-    })
-
-
-def diamond_verdict(a: Matrix, b: Matrix, tol: float = EQ_TOL,
-                    rank_factor: float = RANK_FACTOR) -> bool:
-    """``leq_diamond(a, b, tol, rank_factor).verdict``, without the report.
-
-    Decides A B* A = A A* A, then col(A) <= col(B), then col(A*) <= col(B*),
-    and stops at the first false term. B+ and the projector identities,
-    which only feed the report's margin, are never computed. The sandwich
-    goes first because its products are the ones that overflow: a pair
-    whose report raises DomainError there raises it here too.
-    """
+    """Diamond order: the space pre-order plus A B* A = A A* A. The verdict
+    decides the sandwich first, since its products are the ones that
+    overflow, then col(A) <= col(B) and col(A*) <= col(B*), stopping at
+    the first false term."""
     _check_pair(a, b)
-    return (_compare(a @ b.ct @ a, a @ a.ct @ a, tol)[0]
-            and _ranges_leq(a, b, rank_factor))
+    sandwich, ratio = _compare(a @ b.ct @ a, a @ a.ct @ a, tol)
+    verdict = sandwich and _ranges_leq(a, b, rank_factor)
+
+    def witnesses():
+        space = leq_space(a, b, tol, rank_factor)
+        w = space.witnesses
+        return {"space": space.verdict, "sandwich": sandwich,
+                "range_inclusion": w["range_inclusion"],
+                "row_range_inclusion": w["row_range_inclusion"],
+                "margin": _max_margin([w["margin"], ratio])}
+    return OrderReport("diamond", verdict, "definition", witnesses)
 
 
 def _require_diamond(a: Matrix, b: Matrix, tol: float, rank_factor: float):
-    if not diamond_verdict(a, b, tol, rank_factor):
+    if not leq_diamond(a, b, tol, rank_factor).verdict:
         raise DomainError("pair is not diamond-comparable")
 
 
@@ -228,7 +229,7 @@ def _ranges_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
 
 def diamond_table(mats, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> list:
-    """``[[i == j or diamond_verdict(mats[i], mats[j], tol, rank_factor)
+    """``[[i == j or leq_diamond(mats[i], mats[j], tol, rank_factor).verdict
     for j ...] for i ...]`` for k equally shaped float matrices.
 
     Row i forms the sandwich products (A_i B_j*) A_i for all j in one
@@ -236,8 +237,8 @@ def diamond_table(mats, tol: float = EQ_TOL,
     per-pair product bit for bit, and A_i A_i* A_i once. It then decides
     the pairs i != j in order by ``_compare``'s rule, and only pairs
     whose sandwich holds go on to the range inclusions. A block of the row
-    holding a non-finite entry (an overflow) is decided by
-    ``diamond_verdict``, which warns and raises there as the pair loop does;
+    holding a non-finite entry (an overflow) is decided by ``leq_diamond``,
+    which warns and raises there as the pair loop does;
     a single matrix computes nothing. The stacks held at once are one block
     of one row: at most about 3·k·m·n entries for m x n inputs, or one
     m x m product when m > k·n.
@@ -262,7 +263,8 @@ def diamond_table(mats, tol: float = EQ_TOL,
                 d = s - aaa
             if not np.isfinite(d).all():
                 for j in js:
-                    table[i][j] = diamond_verdict(a, mats[j], tol, rank_factor)
+                    table[i][j] = leq_diamond(a, mats[j], tol,
+                                              rank_factor).verdict
                 continue
             for j in js:
                 # _compare's order: |S|, |A A* A|, the bound, |S - A A* A|
@@ -325,14 +327,15 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     inter = subspace_intersection_dim(a.ct, diff, rank_factor)
     incl = subspace_leq(a.ct, b.ct, rank_factor)
     verdict = inter == 0 and incl
-    diff_in_b = subspace_leq(diff, b.ct, rank_factor)
-    dim_a, dim_diff, dim_b = (column_space(x, rank_factor).cols
-                              for x in (a.ct, diff, b.ct))
-    return OrderReport("diamond", verdict, "range-split", {
-        "intersection_dim": inter, "row_range_inclusion": incl,
-        "dim_rows_a": dim_a, "dim_diff": dim_diff, "dim_rows_b": dim_b,
-        "direct_sum": verdict and diff_in_b and dim_a + dim_diff == dim_b,
-    })
+
+    def witnesses():
+        diff_in_b = subspace_leq(diff, b.ct, rank_factor)
+        dim_a, dim_diff, dim_b = (column_space(x, rank_factor).cols
+                                  for x in (a.ct, diff, b.ct))
+        return {"intersection_dim": inter, "row_range_inclusion": incl,
+                "dim_rows_a": dim_a, "dim_diff": dim_diff, "dim_rows_b": dim_b,
+                "direct_sum": verdict and diff_in_b and dim_a + dim_diff == dim_b}
+    return OrderReport("diamond", verdict, "range-split", witnesses)
 
 
 def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -395,20 +398,22 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """
     _check_pair(a, b)
     base = leq_left_star(a, b, tol, rank_factor)
-    dia = diamond_verdict(a, b, tol, rank_factor)
-    ad = moore_penrose(a, rank_factor)
-    dag = matrices_equal(projector_rowspace(a, rank_factor), ad @ b, tol)
-    herm_m = a.ct @ b
-    herm = matrices_equal(herm_m, herm_m.ct, tol)
-    votes = {
-        "definition": base.verdict,
-        "diamond_and_gram": dia and base.witnesses["gram"],
-        "diamond_and_dagger": dia and dag,
-        "diamond_and_hermitian": dia and herm,
-    }
-    return OrderReport("left-star", base.verdict, "four-way", {
-        **votes, "diamond": dia, "all_equal": len(set(votes.values())) == 1,
-    })
+
+    def witnesses():
+        dia = leq_diamond(a, b, tol, rank_factor).verdict
+        ad = moore_penrose(a, rank_factor)
+        dag = matrices_equal(projector_rowspace(a, rank_factor), ad @ b, tol)
+        herm_m = a.ct @ b
+        herm = matrices_equal(herm_m, herm_m.ct, tol)
+        votes = {
+            "definition": base.verdict,
+            "diamond_and_gram": dia and base.witnesses["gram"],
+            "diamond_and_dagger": dia and dag,
+            "diamond_and_hermitian": dia and herm,
+        }
+        return {**votes, "diamond": dia,
+                "all_equal": len(set(votes.values())) == 1}
+    return OrderReport("left-star", base.verdict, "four-way", witnesses)
 
 
 def right_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
@@ -417,8 +422,9 @@ def right_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     ``left_star_equivalents`` on (A*, B*): (a) definition; (b) diamond plus
     AA* = BA*; (c) diamond plus AA+ = BA+; (d) diamond plus BA* Hermitian."""
     _check_pair(a, b)
-    return replace(left_star_equivalents(a.ct, b.ct, tol, rank_factor),
-                   relation="right-star")
+    left = left_star_equivalents(a.ct, b.ct, tol, rank_factor)
+    return OrderReport("right-star", left.verdict, left.characterization,
+                       lambda: left.witnesses)
 
 
 RELATIONS = {
@@ -442,10 +448,9 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> list:
     """The table ``leq[i][j]`` of equally shaped matrices on one backend:
     True for i == j, else the verdict of ``RELATIONS[relation]`` on (mats[i],
-    mats[j]). Diamond builds no report: ``diamond_table`` decides a float
-    family and ``diamond_verdict`` an exact one. An unknown relation, a
-    member that is not a Matrix, and mixed shapes or backends are refused
-    before any verdict, an empty family included."""
+    mats[j]), which ``diamond_table`` decides for a float diamond family.
+    An unknown relation, a member that is not a Matrix, and mixed shapes or
+    backends are refused before any verdict, an empty family included."""
     if relation not in RELATIONS:
         raise DomainError("unknown relation %r" % relation)
     for m in mats:
@@ -455,17 +460,11 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
             raise ShapeError("poset needs equally shaped matrices")
         if m.backend != mats[0].backend:
             raise DomainError("poset needs a single backend")
-    if relation != "diamond":
-        pred = RELATIONS[relation]
-
-        def holds(x, y, tol, rank_factor):
-            return pred(x, y, tol, rank_factor).verdict
-    elif mats and mats[0].backend == FLOAT:
+    if relation == "diamond" and mats and mats[0].backend == FLOAT:
         return diamond_table(mats, tol, rank_factor)
-    else:
-        holds = diamond_verdict
+    pred = RELATIONS[relation]
     k = len(mats)
-    return [[i == j or holds(mats[i], mats[j], tol, rank_factor)
+    return [[i == j or pred(mats[i], mats[j], tol, rank_factor).verdict
              for j in range(k)] for i in range(k)]
 
 

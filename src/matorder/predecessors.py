@@ -23,7 +23,7 @@ from .decomp import HSForm, hartwig_spindelbock
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, inverse,
                      matrices_equal, tolerance_bound)
-from .orders import _require_diamond, diamond_verdict
+from .orders import _require_diamond, leq_diamond
 from .pinv import moore_penrose
 
 
@@ -180,8 +180,8 @@ def dagger_isotone(b: Matrix, t: Matrix, tol: float = EQ_TOL,
     pair (a, b) built from t, directly and via t (t* - I) s^-2 t = 0."""
     hs = _checked_form(b, t, tol, rank_factor)
     a = hs.predecessor(t, rank_factor)
-    direct = diamond_verdict(moore_penrose(a, rank_factor),
-                             moore_penrose(b, rank_factor), tol, rank_factor)
+    direct = leq_diamond(moore_penrose(a, rank_factor),
+                         moore_penrose(b, rank_factor), tol, rank_factor).verdict
     si = hs.sigma_inv()
     crit = t @ (t.ct - Matrix.identity(hs.r, FLOAT)) @ si @ si @ t
     criterion = crit.frobenius() <= tolerance_bound(tol, t.frobenius() ** 2)

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matorder
 from matorder import EQ_TOL, MatOrderError, Matrix, leq_space, matrix_to_json
-from matorder.cli import _emit, main
+from matorder.cli import _json_text, main
 from matorder.fuzz import EXACT_PROPERTIES
 from matorder.orders import DIAMOND_ROUTES, RELATIONS
 
@@ -309,6 +313,38 @@ def test_unparsable_bytes_are_a_usage_error(tmp_path, capsys, content, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("backend", ["[" * 900 + "]" * 900,
+                                     json.dumps("b" * 5_000_000)])
+def test_error_line_echoes_a_huge_backend_cut_short(tmp_path, capsys, backend):
+    # the repr of the 900-deep list alone runs past 1,800 bytes
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": 1, "cols": 1, "backend": %s, '
+                   '"entries": [[["1", "0"]]]}' % backend)
+    code, out, err = run(capsys, "pinv", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: unknown backend " % bad)
+    assert err.count("\n") == 1
+    assert len(err) < len(str(bad)) + 80
+
+
+def test_closed_stdout_ends_without_a_traceback(files):
+    # the pipe's read end is closed before the process starts, so its
+    # first write fails with EPIPE; it exits with check's own code
+    a = files("a.json", A)
+    b = files("b.json", B2)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "matorder.cli", "check", "--order", "star", a, b],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(matorder.__file__).parent.parent)))
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
 def test_pinv_reads_every_json_encoding(tmp_path, capsys, encoding):
     text = matrix_to_json(Matrix.from_complex([[1, 2j], [0.3, 4.5]]))
@@ -396,7 +432,7 @@ def test_fuzz_rejects_nan_tolerance(capsys):
 
 def test_non_finite_result_is_a_usage_error(capsys):
     with pytest.raises(MatOrderError):
-        _emit({"margin": float("nan")})
+        _json_text({"margin": float("nan")})
     assert capsys.readouterr().out == ""
 
 

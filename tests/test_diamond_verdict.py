@@ -1,11 +1,12 @@
-"""The verdict-only diamond check agrees with the diamond report.
+"""Verdict-only reads agree with full reports.
 
-``diamond_verdict`` decides A below B in the diamond order from the same
-three terms as ``leq_diamond`` (the sandwich identity A B* A = A A* A and
-the two range inclusions), without B+ or the projector identities, and
-stops at the first false term. These properties hold it equal to the
-report's verdict on every input family the library feeds it, and hold the
-diamond ``build_poset`` equal to a cover diagram built from the reports.
+Every report decides its verdict when it is made and computes its
+witnesses on their first read. These properties hold a report whose
+verdict alone is read equal to one whose witnesses are read first, and
+the verdict equal to the one its witnesses imply, for every relation,
+diamond route and four-way bundle; they hold the diamond ``build_poset``
+equal to a cover diagram built from the reports; and they pin where the
+raises of witnesses that a verdict does not need now happen.
 """
 
 import random
@@ -15,21 +16,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matorder import (DomainError, Matrix, build_poset, build_predecessor,
-                      leq_diamond, matrix_to_json, moore_penrose,
-                      random_idempotent)
+from matorder import (DIAMOND_ROUTES, RELATIONS, DomainError, Matrix,
+                      build_poset, build_predecessor, left_star_equivalents,
+                      leq_diamond, leq_star, matrix_to_json, moore_penrose,
+                      random_idempotent, right_star_equivalents)
 from matorder.cli import main
-from matorder.orders import diamond_verdict
 from matorder.sampling import (exact_pair, float_pair, log_uniform_sigma,
                                random_base_matrix, random_unitary)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
+REPORTS = (list(RELATIONS.values()) + list(DIAMOND_ROUTES.values())
+           + [left_star_equivalents, right_star_equivalents])
+
+# (relation, characterization) -> the verdict its witnesses imply
+IMPLIED = {
+    ("star", "definition"): lambda w: w["gram_left"] and w["gram_right"],
+    ("minus", "rank"): lambda w: w["rank_diff"] == w["rank_b"] - w["rank_a"],
+    ("space", "definition"):
+        lambda w: w["range_inclusion"] and w["row_range_inclusion"],
+    ("diamond", "definition"): lambda w: (
+        w["space"] == (w["range_inclusion"] and w["row_range_inclusion"])
+        and w["space"] and w["sandwich"]),
+    ("left-star", "definition"): lambda w: w["gram"] and w["range_inclusion"],
+    ("right-star", "definition"):
+        lambda w: w["gram"] and w["row_range_inclusion"],
+    ("diamond", "dagger-minus"):
+        lambda w: w["rank_diff"] == w["rank_b"] - w["rank_a"],
+    ("diamond", "range-split"):
+        lambda w: w["intersection_dim"] == 0 and w["row_range_inclusion"],
+    ("diamond", "rank"): lambda w: (
+        w["rank_dagger_diff"] == w["rank_complement_product"]
+        and w["row_range_inclusion"]),
+    ("left-star", "four-way"): lambda w: w["definition"],
+    ("right-star", "four-way"): lambda w: w["definition"],
+}
+
+
+def _fresh(m: Matrix) -> Matrix:
+    """An equal matrix that shares no memo with m."""
+    return Matrix(m.rows, m.cols, m.backend, m.entries)
+
 
 def assert_agrees(a: Matrix, b: Matrix):
-    """The verdict equals the report's on (a, b) and on (b, a)."""
+    """On fresh copies of (a, b) and of (b, a), every report read for its
+    verdict alone equals one whose witnesses are read first, in verdict and
+    in ``to_dict()``, and the verdict is the one the witnesses imply."""
     for lo, hi in ((a, b), (b, a)):
-        assert diamond_verdict(lo, hi) == leq_diamond(lo, hi).verdict
+        for fn in REPORTS:
+            lazy = fn(_fresh(lo), _fresh(hi))
+            verdict = lazy.verdict
+            full = fn(_fresh(lo), _fresh(hi))
+            witnesses = full.witnesses
+            assert full.verdict == verdict, fn.__name__
+            assert IMPLIED[full.relation, full.characterization](witnesses) \
+                == verdict, fn.__name__
+            assert lazy.to_dict() == full.to_dict(), fn.__name__
 
 
 def _family(seed: int, n: int, count: int):
@@ -62,7 +104,7 @@ def test_agrees_on_predecessors_and_their_pseudoinverses(seed, n):
     # pseudoinverses as dagger_isotone does
     b, bundles = _family(seed, n, 3)
     for x in bundles:
-        assert diamond_verdict(x.predecessor, b)
+        assert leq_diamond(x.predecessor, b).verdict
         assert_agrees(x.predecessor, b)
         assert_agrees(moore_penrose(x.predecessor), moore_penrose(b))
 
@@ -157,7 +199,7 @@ def float_families(draw):
 @given(float_families())
 def test_stacked_float_poset_equals_the_pairwise_diagram(items):
     graph = build_poset(items, "diamond")
-    assert (graph.nodes, graph.edges) == reference_poset(items, diamond_verdict)
+    assert (graph.nodes, graph.edges) == reference_poset(items)
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,8 +213,8 @@ def test_exact_poset_equals_the_report_diagram(seed, m, n):
 
 
 # Orthogonal columns and rows, so either inclusion alone answers false, but
-# A A* A overflows. The report raises DomainError at the sandwich; the
-# verdict decides the sandwich first, so it raises there too.
+# A A* A overflows. The verdict decides the sandwich first, so the call
+# raises DomainError there.
 HUGE_A = Matrix.from_complex([[1e120, 0], [0, 0]])
 HUGE_B = Matrix.from_complex([[0, 0], [0, 1e120]])
 
@@ -180,9 +222,8 @@ HUGE_B = Matrix.from_complex([[0, 0], [0, 1e120]])
 def test_overflowing_sandwich_raises_before_the_inclusions():
     # numpy warns about the overflow that Matrix turns into the DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        for decide in (leq_diamond, diamond_verdict):
-            with pytest.raises(DomainError):
-                decide(HUGE_A, HUGE_B)
+        with pytest.raises(DomainError):
+            leq_diamond(HUGE_A, HUGE_B)
         with pytest.raises(DomainError):
             build_poset([("a", HUGE_A), ("b", HUGE_B)], "diamond")
 
@@ -197,29 +238,49 @@ def test_cli_poset_on_overflowing_sandwich_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+TINY = Matrix.from_complex([[1e-310]])
+
+
 def test_verdict_needs_no_pseudoinverse_of_the_upper_matrix():
-    # B+ of a subnormal B overflows. Only the report's projector identities
-    # use it, so the report raises while the verdict, and the cover diagram
-    # built from it, decide that zero is below B.
+    # B+ of a subnormal B overflows. Only the witnesses' projector
+    # identities use it, so reading them raises while the verdict, and the
+    # cover diagram built from it, decide that zero is below B.
     zero = Matrix.zeros(1, 1, "float")
-    tiny = Matrix.from_complex([[1e-310]])
     with np.errstate(over="ignore", invalid="ignore"):
+        report = leq_diamond(zero, TINY)
+        assert report.verdict
         with pytest.raises(DomainError):
-            leq_diamond(zero, tiny)
-        assert diamond_verdict(zero, tiny)
-        graph = build_poset([("tiny", tiny), ("zero", zero)], "diamond")
+            report.witnesses
+        graph = build_poset([("tiny", TINY), ("zero", zero)], "diamond")
     assert graph.edges == ((1, 0),)
 
 
+def test_star_verdict_needs_no_pseudoinverse(tmp_path, capsys):
+    # A+ of a subnormal A overflows. Only the star witnesses' projector
+    # identities use it, so the star cover diagram of two copies of A is
+    # one class, where building it once exited 2.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = leq_star(TINY, TINY)
+        assert report.verdict
+        with pytest.raises(DomainError):
+            report.witnesses
+    for name in ("a", "b"):
+        (tmp_path / ("%s.json" % name)).write_text(matrix_to_json(TINY))
+    assert main(["poset", "--order", "star", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == 'digraph poset {\n  "a=b";\n}\n'
+    assert captured.err == ""
+
+
 def first_loop_error(items, tol):
-    """(type, message) of what diamond_verdict first raises over the ordered
-    pairs i != j in row-major order, the order of the pair loop."""
+    """(type, message) of what the leq_diamond verdict first raises over the
+    ordered pairs i != j in row-major order, the order of the pair loop."""
     mats = [m for _, m in items]
     try:
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
                 if i != j:
-                    diamond_verdict(a, b, tol)
+                    leq_diamond(a, b, tol).verdict
     except DomainError as exc:
         return type(exc), str(exc)
     return None

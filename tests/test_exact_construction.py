@@ -9,6 +9,7 @@ their grid to the public constructor.
 """
 
 import random
+import reprlib
 from fractions import Fraction
 from unittest import mock
 
@@ -87,7 +88,7 @@ def per_entry_matrix_from_dict(d: dict) -> Matrix:
     except (KeyError, TypeError) as exc:
         raise MatOrderError("matrix object needs rows/cols/backend/entries") from exc
     if backend not in (EXACT, FLOAT):
-        raise MatOrderError("unknown backend %r" % (backend,))
+        raise MatOrderError("unknown backend %s" % reprlib.repr(backend))
     if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
         raise MatOrderError("rows/cols must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows:
@@ -109,7 +110,8 @@ def per_entry_matrix_from_dict(d: dict) -> Matrix:
                 except MatOrderError:  # the decimal exponent bound
                     raise
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise MatOrderError("bad rational %r" % ((re, im),)) from exc
+                    raise MatOrderError("bad rational %s"
+                                        % reprlib.repr((re, im))) from exc
             else:
                 if isinstance(re, bool) or isinstance(im, bool) or \
                         not isinstance(re, (int, float)) or not isinstance(im, (int, float)):

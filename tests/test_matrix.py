@@ -842,6 +842,20 @@ def test_frobenius_of_huge_entries_is_finite():
         matrices_equal(Matrix.from_complex([[1e308]]), Matrix.from_complex([[9e307]]))
 
 
+def test_frobenius_of_tiny_entries_is_not_flushed_to_zero():
+    # the squares of these entries underflow, so numpy's formula gives 0.0
+    # or loses bits; the rescaled pass keeps the norm
+    assert math.isclose(Matrix.from_complex([[3e-170, 4e-170]]).frobenius(),
+                        5e-170, rel_tol=1e-15)
+    assert Matrix.from_complex([[1e-310j]]).frobenius() == 1e-310
+    assert Matrix.from_complex([[5e-324]]).frobenius() == 5e-324
+    assert Matrix.zeros(2, 3, FLOAT).frobenius() == 0.0
+    # under tol = 0 only equal matrices are equal, however small
+    a, b = Matrix.from_complex([[1e-170]]), Matrix.from_complex([[2e-170]])
+    assert not matrices_equal(a, b, 0.0)
+    assert matrices_equal(a, a, 0.0)
+
+
 def test_compare_refuses_a_non_finite_difference(monkeypatch):
     # |a - b| <= |a| + |b|, so the bound overflows first; held finite, the
     # difference overflows as the subtraction kernel's does

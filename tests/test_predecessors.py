@@ -13,7 +13,6 @@ from matorder import (EXACT, FLOAT, RANK_FACTOR, BackendError, DomainError,
                       leq_diamond, matrices_equal, moore_penrose, pinv,
                       predecessor_mp, rank, random_idempotent,
                       recover_idempotent, reverse_order_law)
-from matorder.orders import diamond_verdict
 from matorder.sampling import random_base_matrix
 
 TOL = 1e-9
@@ -187,7 +186,7 @@ def reverse_order_law_recomputing(a, b, tol=TOL, rank_factor=RANK_FACTOR):
     """reverse_order_law as it was before it reused recover_idempotent's
     (s^-1 t)+: the criterion computes that pseudoinverse again."""
     hs = hartwig_spindelbock(b, rank_factor)
-    if not diamond_verdict(a, b, tol, rank_factor):
+    if not leq_diamond(a, b, tol, rank_factor).verdict:
         raise DomainError("pair is not diamond-comparable")
     t = recover_idempotent(a, hs, tol, rank_factor)
     direct = matrices_equal(
