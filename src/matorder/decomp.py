@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BackendError, DomainError, ShapeError
 from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _kept,
                      float_svd, hstack, memoized, rank, vstack)
+from .orders import _require_diamond
 from .pinv import moore_penrose
 
 
@@ -41,7 +42,7 @@ class SVDForm:
     v: Matrix
 
     def sigma_matrix(self) -> Matrix:
-        core = Matrix.from_ndarray(np.diag(np.array(self.sigma, dtype=complex)))
+        core = Matrix._wrap(np.diag(np.array(self.sigma, dtype=complex)))
         return _padded(core, self.u.rows, self.v.rows)
 
     def reconstruct(self) -> Matrix:
@@ -52,8 +53,8 @@ def svd(a: Matrix) -> SVDForm:
     """Full SVD with singular values in descending order."""
     _require_float(a, "svd")
     u, s, vh, _ = float_svd(a)
-    return SVDForm(Matrix.from_ndarray(u), tuple(float(x) for x in s),
-                   Matrix.from_ndarray(vh.conj().T))
+    return SVDForm(Matrix._wrap(u), tuple(float(x) for x in s),
+                   Matrix._wrap(vh.conj().T))
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,11 @@ class HSForm:
     # built on first use and kept on the form, which is immutable
     @cached_property
     def _sigma_diag(self) -> Matrix:
-        return Matrix.from_ndarray(np.diag(np.array(self.sigma, dtype=complex)))
+        return Matrix._wrap(np.diag(np.array(self.sigma, dtype=complex)))
 
     @cached_property
     def _sigma_inv(self) -> Matrix:
-        return Matrix.from_ndarray(
+        return Matrix._wrap(
             np.diag(np.array([1.0 / s for s in self.sigma], dtype=complex)))
 
     def _top_block_row(self, c: Matrix) -> Matrix:
@@ -148,9 +149,9 @@ def hartwig_spindelbock(b: Matrix, rank_factor: float = RANK_FACTOR) -> HSForm:
         raise ShapeError("need a square matrix, got %sx%s" % b.shape)
     u1, s, v1h, r = float_svd(b, rank_factor)
     w = v1h @ u1
-    k = Matrix.from_ndarray(w[:r, :r])
-    l = Matrix.from_ndarray(w[:r, r:])
-    return HSForm(Matrix.from_ndarray(u1), tuple(float(x) for x in s[:r]), k, l)
+    k = Matrix._wrap(w[:r, :r])
+    l = Matrix._wrap(w[:r, r:])
+    return HSForm(Matrix._wrap(u1), tuple(float(x) for x in s[:r]), k, l)
 
 
 def partitioned_mp(p: Matrix, q: Matrix):
@@ -221,8 +222,6 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     Requires a below b in the diamond order and a nonzero; the zero matrix
     sits below everything and carries no block data, so it is rejected.
     """
-    from .orders import _require_diamond
-
     _require_float(a, "diamond_canonical_pair")
     _require_float(b, "diamond_canonical_pair")
     a._check_same_shape(b, "diamond_canonical_pair")
@@ -234,7 +233,7 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     d = np.diag(s[:r])
 
     a_rot = u1.conj().T @ a.to_ndarray() @ v1h.conj().T
-    a1 = Matrix.from_ndarray(a_rot[:r, :r])
+    a1 = Matrix._wrap(a_rot[:r, :r])
 
     hs = hartwig_spindelbock(a1, rank_factor)
     t = hs.r
@@ -246,6 +245,6 @@ def diamond_canonical_pair(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     v_full[:, :r] = v_full[:, :r] @ u2
 
     a_core = hs.core().submatrix(0, t, 0, r)
-    b_core = Matrix.from_ndarray(u2.conj().T @ d @ u2)
-    return CanonicalPair(Matrix.from_ndarray(u_full),
-                         Matrix.from_ndarray(v_full), a_core, b_core)
+    b_core = Matrix._wrap(u2.conj().T @ d @ u2)
+    return CanonicalPair(Matrix._wrap(u_full), Matrix._wrap(v_full),
+                         a_core, b_core)

@@ -271,14 +271,11 @@ class Matrix:
 
     @classmethod
     def from_ndarray(cls, arr) -> "Matrix":
-        """The float matrix of a copy of the 2-d array ``arr``. An array of a
-        numeric dtype is converted whole, as the constructor converts it,
-        and checked; any other is read entry by entry by the constructor."""
+        """The float matrix of a copy of the 2-d array ``arr``, built by the
+        constructor."""
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ShapeError("expected a 2-d array")
-        if a.dtype.kind in _NUMERIC:
-            return cls._wrap(np.array(a, dtype=complex))
         return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     # -- basic views ---------------------------------------------------

@@ -138,29 +138,36 @@ def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     })
 
 
+def _ranges_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
+    """col(A) <= col(B) and then col(A*) <= col(B*): the space pre-order."""
+    return (subspace_leq(a, b, rank_factor)
+            and subspace_leq(a.ct, b.ct, rank_factor))
+
+
 def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
               rank_factor: float = RANK_FACTOR, inner_samples: int = 0,
               rng: Optional[random.Random] = None) -> OrderReport:
     """Space pre-order: col(A) <= col(B) and col(A*) <= col(B*).
 
-    The verdict comes from the two range inclusions. The equivalent
-    formulation A = B G A = A G B over inner inverses G of B is verified
-    against the pseudoinverse and recorded in the witnesses. Sampled G
-    cross-check it only when ``inner_samples > 0``: the call draws that many
-    from ``rng`` (default ``random.Random(0)``) before any witness is read,
-    and ``inner_inverse_identities`` records whether all passed; otherwise
-    no sample is drawn, ``rng`` is left untouched and that witness is None.
+    The verdict is ``_ranges_leq``; the witnesses read both inclusions,
+    kept on the pair. A = B G A = A G B over inner inverses G of B is
+    verified against the pseudoinverse and recorded in the witnesses.
+    Sampled G cross-check it only when ``inner_samples > 0``: the call draws
+    that many from ``rng`` (default ``random.Random(0)``) before any witness
+    is read, and ``inner_inverse_identities`` records whether all passed;
+    otherwise no sample is drawn, ``rng`` is left untouched and that witness
+    is None.
     """
     _check_pair(a, b)
-    col_ok = subspace_leq(a, b, rank_factor)
-    row_ok = subspace_leq(a.ct, b.ct, rank_factor)
-    verdict = col_ok and row_ok
+    verdict = _ranges_leq(a, b, rank_factor)
     if inner_samples > 0 and rng is None:
         rng = random.Random(0)
     params = [_random_param(a.cols, a.rows, a.backend, rng)
               for _ in range(inner_samples)]
 
     def witnesses():
+        col_ok = subspace_leq(a, b, rank_factor)
+        row_ok = subspace_leq(a.ct, b.ct, rank_factor)
         bd = moore_penrose(b, rank_factor)
         p1, m1 = _compare(projector_range(b, rank_factor) @ a, a, tol)
         p2, m2 = _compare(a @ bd @ b, a, tol)
@@ -219,12 +226,6 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 def _require_diamond(a: Matrix, b: Matrix, tol: float, rank_factor: float):
     if not leq_diamond(a, b, tol, rank_factor).verdict:
         raise DomainError("pair is not diamond-comparable")
-
-
-def _ranges_leq(a: Matrix, b: Matrix, rank_factor: float) -> bool:
-    """col(A) <= col(B) and then col(A*) <= col(B*), diamond's space terms."""
-    return (subspace_leq(a, b, rank_factor)
-            and subspace_leq(a.ct, b.ct, rank_factor))
 
 
 def diamond_table(mats, tol: float = EQ_TOL,

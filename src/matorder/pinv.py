@@ -70,7 +70,7 @@ def _exact_pinv(a: Matrix) -> Matrix:
 def _float_pinv(a: Matrix, rank_factor: float) -> Matrix:
     u, s, vh, r = float_svd(a, rank_factor)
     out = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
-    return Matrix.from_ndarray(out)
+    return Matrix._wrap(out)
 
 
 @memoized

@@ -119,7 +119,7 @@ def random_unitary(n: int, rng: random.Random) -> Matrix:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     phases = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    return Matrix.from_ndarray(q @ np.diag(phases))
+    return Matrix._wrap(q @ np.diag(phases))
 
 
 def log_uniform_sigma(rng: random.Random, r: int, lo: float = 0.25,
@@ -158,7 +158,7 @@ def random_spectrum_matrix(m: int, n: int, r: int, rng: random.Random) -> Matrix
 def _spread(u: Matrix, v: Matrix, s: tuple) -> Matrix:
     """u [[diag(s), 0], [0, 0]] v* for unitary frames u, v."""
     r = len(s)
-    return Matrix.from_ndarray(
+    return Matrix._wrap(
         (u.to_ndarray()[:, :r] * np.array(s)) @ v.to_ndarray()[:, :r].conj().T)
 
 

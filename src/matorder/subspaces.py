@@ -30,7 +30,7 @@ def column_space(a: Matrix, rank_factor: float = RANK_FACTOR) -> Matrix:
     if a.backend == EXACT:
         return a.columns(_elimination(a)[3])
     u, _, _, r = float_svd(a, rank_factor)
-    return Matrix.from_ndarray(u[:, :r])
+    return Matrix._wrap(u[:, :r])
 
 
 def _check_comparable(s: Matrix, t: Matrix):
