@@ -239,7 +239,7 @@ def check_predecessor_roundtrip(cfg: RunConfig, rng: random.Random):
         t_back = recover_idempotent(a, bundle.hs, cfg.tol, cfg.rank_factor)
     except DomainError as exc:
         return _ce("constructed", a, b, reason="recovery failed: %s" % exc)
-    if not matrices_equal(t_back, t, 1e-8):
+    if not matrices_equal(t_back, t, cfg.tol):
         return _ce("constructed", a, b, reason="recovered parameter differs",
                    t=matrix_to_dict(t), t_back=matrix_to_dict(t_back))
     return None

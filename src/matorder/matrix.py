@@ -55,11 +55,18 @@ EPS = 2.0 ** -52
 _DTYPE = {EXACT: object, FLOAT: complex}
 # the dtype kinds of numbers: bool, signed and unsigned int, float, complex
 _NUMERIC = "biufc"
+# the longest side whose square complex array numpy can index: the package
+# forms such squares from a matrix (A*A, a full SVD), so a longer side is
+# refused where a matrix is declared, even when it has no entries
+_MAX_SIDE = math.isqrt(int(np.iinfo(np.intp).max) // 16)
 
 
 def _dtype(rows: int, cols: int, backend: str):
     if rows < 0 or cols < 0:
         raise ShapeError("negative dimension")
+    if max(rows, cols) > _MAX_SIDE:
+        raise ShapeError("dimension %s beyond the largest array side, %d"
+                         % (reprlib.repr(max(rows, cols)), _MAX_SIDE))
     if backend not in _DTYPE:
         raise BackendError("unknown backend %s" % reprlib.repr(backend))
     return _DTYPE[backend]
@@ -800,6 +807,7 @@ def matrix_from_dict(d: dict) -> Matrix:
         raise MatOrderError("unknown backend %s" % reprlib.repr(backend))
     if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise MatOrderError("rows/cols must be non-negative integers")
+    _dtype(rows, cols, backend)
     if not isinstance(entries, list) or len(entries) != rows:
         raise MatOrderError("entry grid does not match declared shape")
     values = []  # row-major: (re, im) Fraction pairs, or complex

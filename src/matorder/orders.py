@@ -74,10 +74,11 @@ class OrderReport:
                 "witnesses": dict(self.witnesses)}
 
 
-def _check_pair(a: Matrix, b: Matrix):
+def _check_pair(a: Matrix, b: Matrix, tol: float):
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise ShapeError("order predicates compare two matrices")
     a._check_same_shape(b, "order comparison")
+    tolerance_bound(tol)  # on the exact backend too, which compares without it
 
 
 def _max_margin(ratios) -> Optional[float]:
@@ -91,7 +92,7 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     The equivalent pseudoinverse form A+A = A+B, AA+ = BA+ is evaluated
     for the witnesses and recorded for cross-checking.
     """
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     act = a.ct
     g_left, m1 = _compare(act @ a, act @ b, tol)
     g_right, m2 = _compare(a @ act, b @ act, tol)
@@ -129,7 +130,7 @@ def _difference(a: Matrix, b: Matrix, tol: float) -> Matrix:
 def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
               rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Minus order: rank(B - A) = rank(B) - rank(A)."""
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     ra = rank(a, rank_factor)
     rb = rank(b, rank_factor)
     rd = rank(_difference(a, b, tol), rank_factor)
@@ -158,7 +159,7 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     otherwise no sample is drawn, ``rng`` is left untouched and that witness
     is None.
     """
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     verdict = _ranges_leq(a, b, rank_factor)
     if inner_samples > 0 and rng is None:
         rng = random.Random(0)
@@ -209,7 +210,7 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     decides the sandwich first, since its products are the ones that
     overflow, then col(A) <= col(B) and col(A*) <= col(B*), stopping at
     the first false term."""
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     sandwich, ratio = _compare(a @ b.ct @ a, a @ a.ct @ a, tol)
     verdict = sandwich and _ranges_leq(a, b, rank_factor)
 
@@ -281,7 +282,7 @@ def diamond_table(mats, tol: float = EQ_TOL,
 def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Left-star order: A*A = A*B and col(A) <= col(B)."""
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     gram, ratio = _compare(a.ct @ a, a.ct @ b, tol)
     incl = subspace_leq(a, b, rank_factor)
     return OrderReport("left-star", gram and incl, "definition", {
@@ -293,7 +294,7 @@ def leq_right_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                    rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Right-star order: AA* = BA* and col(A*) <= col(B*), which is A*
     below B* in the left-star order."""
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     left = leq_left_star(a.ct, b.ct, tol, rank_factor)
     w = left.witnesses
     return OrderReport("right-star", left.verdict, "definition", {
@@ -308,7 +309,7 @@ def leq_right_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 def diamond_via_dagger_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                              rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order via the pseudoinverses: A+ below B+ in the minus order."""
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     inner = leq_minus(moore_penrose(a, rank_factor),
                       moore_penrose(b, rank_factor), tol, rank_factor)
     return OrderReport("diamond", inner.verdict, "dagger-minus", inner.witnesses)
@@ -321,7 +322,7 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     Witnesses also record whether col(B*) splits as the direct sum of the
     two ranges, which is an equivalent reading of the same condition.
     """
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     diff = _difference(ad, bd, tol)
@@ -350,7 +351,7 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     ``rank_floor`` of |A+|_F and |B+|_F, the scale of the operands: their
     ``tolerance_bound``, or under a tiny tol their spectral cutoff.
     """
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     eye = Matrix.identity(a.cols, a.backend)
@@ -397,7 +398,7 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     A+A = A+B; (d) diamond plus A*B Hermitian. All four booleans are
     reported; they agree on every valid input.
     """
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     base = leq_left_star(a, b, tol, rank_factor)
 
     def witnesses():
@@ -422,7 +423,7 @@ def right_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """The four readings of the right-star relation, which are those of
     ``left_star_equivalents`` on (A*, B*): (a) definition; (b) diamond plus
     AA* = BA*; (c) diamond plus AA+ = BA+; (d) diamond plus BA* Hermitian."""
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     left = left_star_equivalents(a.ct, b.ct, tol, rank_factor)
     return OrderReport("right-star", left.verdict, left.characterization,
                        lambda: left.witnesses)
@@ -450,8 +451,9 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
     """The table ``leq[i][j]`` of equally shaped matrices on one backend:
     True for i == j, else the verdict of ``RELATIONS[relation]`` on (mats[i],
     mats[j]), which ``diamond_table`` decides for a float diamond family.
-    An unknown relation, a member that is not a Matrix, and mixed shapes or
-    backends are refused before any verdict, an empty family included."""
+    An unknown relation, a member that is not a Matrix, mixed shapes or
+    backends, and a tol that ``tolerance_bound`` refuses are refused before
+    any verdict, an empty family included."""
     if relation not in RELATIONS:
         raise DomainError("unknown relation %r" % relation)
     for m in mats:
@@ -461,6 +463,7 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
             raise ShapeError("poset needs equally shaped matrices")
         if m.backend != mats[0].backend:
             raise DomainError("poset needs a single backend")
+    tolerance_bound(tol)
     if relation == "diamond" and mats and mats[0].backend == FLOAT:
         return diamond_table(mats, tol, rank_factor)
     pred = RELATIONS[relation]
@@ -482,7 +485,7 @@ def projector_transfer(a: Matrix, b: Matrix, relation: str,
     """
     if relation not in RELATIONS:
         raise DomainError("unknown relation %r" % relation)
-    _check_pair(a, b)
+    _check_pair(a, b, tol)
     pred = RELATIONS[relation]
     direct = pred(a, b, tol, rank_factor).verdict
     pa = projector_range(a, rank_factor)

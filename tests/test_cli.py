@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matorder
@@ -423,6 +423,20 @@ def test_invalid_tolerance_is_a_usage_error(files, capsys, tol, order, via):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("command", [["check", "--order", "star"],
+                                     ["check", "--order", "space"], ["poset"]])
+def test_invalid_tolerance_on_exact_input_is_a_usage_error(tmp_path, capsys,
+                                                           tol, command):
+    # an exact comparison takes no bound, and these once exited 0
+    (tmp_path / "e.json").write_text(matrix_to_json(Matrix.exact([[1, 2], [0, 3]])))
+    paths = [str(tmp_path)] if command == ["poset"] else [str(tmp_path / "e.json")] * 2
+    code, out, err = run(capsys, "--tol", tol, *command, *paths)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance bound")
+
+
 def test_fuzz_rejects_nan_tolerance(capsys):
     code, out, err = run(capsys, "--tol", "nan", "fuzz", "--trials", "1")
     assert code == 2
@@ -554,18 +568,33 @@ def _run_quietly(argv) -> tuple:
     return code, out.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_cli_is_total_on_json_documents(data):
-    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    docs = [data.draw(_matrix_docs(rows, cols))]
-    docs.append(data.draw(st.just(docs[0]) | _matrix_docs(rows, cols)))
-    order = data.draw(st.sampled_from(sorted(RELATIONS)))
-    via = data.draw(st.sampled_from(sorted(DIAMOND_ROUTES))) if order == "diamond" \
+@st.composite
+def _cli_cases(draw):
+    """(docs, order, via, backend, encoding): two matrix documents, the
+    second often the first, and the options a ``check`` of them runs with."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    docs = [draw(_matrix_docs(rows, cols))]
+    docs.append(draw(st.just(docs[0]) | _matrix_docs(rows, cols)))
+    order = draw(st.sampled_from(sorted(RELATIONS)))
+    via = draw(st.sampled_from(sorted(DIAMOND_ROUTES))) if order == "diamond" \
         else "definition"
-    backend = data.draw(st.sampled_from([[], ["--backend", "float"]]))
+    backend = draw(st.sampled_from([[], ["--backend", "float"]]))
     # the same documents written in any JSON encoding read the same
-    encoding = data.draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-32"]))
+    encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-32"]))
+    return docs, order, via, backend, encoding
+
+
+# a side numpy cannot allocate once ended pinv in a ValueError traceback
+_WIDE_EMPTY = {"rows": 0, "cols": 10 ** 400, "backend": "float", "entries": []}
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=([_WIDE_EMPTY, _WIDE_EMPTY], "star", "definition", [], "utf-8"))
+@example(case=([dict(_WIDE_EMPTY, backend="exact", cols=2 ** 40)] * 2, "space",
+               "definition", [], "utf-8"))
+@given(case=_cli_cases())
+def test_cli_is_total_on_json_documents(case):
+    docs, order, via, backend, encoding = case
     texts = [json.dumps(doc, ensure_ascii=False).replace('"%s"' % HUGE_INT, "9" * 5000)
              for doc in docs]
     with tempfile.TemporaryDirectory() as tmp:

@@ -318,7 +318,9 @@ def test_stacked_poset_raises_what_the_pair_loop_raises(items, tol):
 
 
 def test_one_overflowing_matrix_is_a_one_node_diagram():
-    # A A* A overflows, but a single matrix is compared with nothing
-    for tol in (1e-9, -1.0):
-        graph = build_poset([("h", HUGE_A)], "diamond", tol)
-        assert graph.nodes == (("h",),) and graph.edges == ()
+    # A A* A overflows, but a single matrix is compared with nothing; tol is
+    # refused before that, as it is for any family
+    graph = build_poset([("h", HUGE_A)], "diamond", 1e-9)
+    assert graph.nodes == (("h",),) and graph.edges == ()
+    with pytest.raises(DomainError, match="tolerance bound"):
+        build_poset([("h", HUGE_A)], "diamond", -1.0)

@@ -211,3 +211,19 @@ def test_a_single_matrix_property_reports_its_matrix(monkeypatch):
     assert ce["trial"] == 0 and ce["kind"] == "rank"
     a = matrix_from_dict(ce["a"])
     assert ce["exact_rank"] == real(a) and ce["float_rank"] == real(a) + 1
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_predecessor_roundtrip_compares_at_the_run_tolerance(monkeypatch, tol):
+    # t_back is off by a relative 1e-7: within tol 1e-6, beyond tol 1e-9.
+    # The comparison once ran at a fixed 1e-8 and failed both runs.
+    real = fuzz.recover_idempotent
+    monkeypatch.setattr(fuzz, "recover_idempotent",
+                        lambda *args: real(*args).scale(1.0 + 1e-7))
+    cfg = RunConfig(backend=FLOAT, tol=tol, trials=6, dim_max=3, seed=4)
+    result = run_property(cfg, "predecessor-roundtrip")
+    if tol == 1e-6:
+        assert result.failures == 0
+    else:
+        assert result.failures > 0
+        assert result.first_counterexample["reason"] == "recovered parameter differs"

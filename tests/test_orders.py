@@ -352,16 +352,10 @@ BAD_TOLS = [pytest.param(-1.0, id="negative"), pytest.param(float("nan"), id="na
 def test_invalid_tolerance_is_a_domain_error(name, fn, tol):
     # no comparison is decided against a negative or NaN bound: with one,
     # star read a matrix as not below itself and reported a NaN margin. The
-    # space verdict reads only the range inclusions and decides none, so
-    # its report raises where the witnesses compare projector identities.
+    # call refuses tol, so space, whose verdict compares nothing, raises too.
     a = Matrix.from_complex([[1, 2j], [0, 3]])
-    if name == "space":
-        report = fn(a, a, tol)
-        with pytest.raises(DomainError):
-            report.witnesses
-    else:
-        with pytest.raises(DomainError):
-            fn(a, a, tol)
+    with pytest.raises(DomainError):
+        fn(a, a, tol)
     with pytest.raises(DomainError):
         matrices_equal(a, a, tol)
     with pytest.raises(DomainError):
@@ -370,6 +364,24 @@ def test_invalid_tolerance_is_a_domain_error(name, fn, tol):
 
 ALL_ROUTES = sorted(RELATIONS.items()) + [
     ("diamond/" + k, f) for k, f in sorted(DIAMOND_ROUTES.items())]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("name, fn", ALL_ROUTES)
+def test_invalid_tolerance_is_refused_on_the_exact_backend(name, fn, tol):
+    # an exact comparison takes no bound, so no exact call once read tol
+    e = Matrix.exact([[1, 2], [0, 3]])
+    with pytest.raises(DomainError, match="tolerance bound"):
+        fn(e, e, tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@pytest.mark.parametrize("mats", [[], [Matrix.exact([[1, 2], [0, 3]])] * 2],
+                         ids=["empty", "exact"])
+def test_verdict_table_refuses_invalid_tolerance(mats, relation, tol):
+    with pytest.raises(DomainError, match="tolerance bound"):
+        build_poset([(str(i), m) for i, m in enumerate(mats)], relation, tol)
 
 
 @pytest.mark.parametrize("name, fn", ALL_ROUTES)

@@ -169,6 +169,17 @@ def test_reverse_order_law_needs_diamond():
         reverse_order_law(a, b)
 
 
+def test_reverse_order_law_guard_is_not_the_recovery():
+    # a sits within tol of b's predecessor family, so the recovery accepts
+    # it, but its rank is 2 and b's is 1: the pair is not diamond-comparable
+    b = Matrix.from_complex([[1, 0], [0, 0]])
+    a = Matrix.from_complex([[1, 0], [0, 1e-12]])
+    recover_idempotent(a, hartwig_spindelbock(b))
+    assert not leq_diamond(a, b).verdict
+    with pytest.raises(DomainError, match="^pair is not diamond-comparable$"):
+        reverse_order_law(a, b)
+
+
 def test_reverse_order_law_input_validation():
     # the base's block form is taken before any order check
     with pytest.raises(BackendError):
