@@ -213,17 +213,17 @@ def test_a_single_matrix_property_reports_its_matrix(monkeypatch):
     assert ce["exact_rank"] == real(a) and ce["float_rank"] == real(a) + 1
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9])
-def test_predecessor_roundtrip_compares_at_the_run_tolerance(monkeypatch, tol):
-    # t_back is off by a relative 1e-7: within tol 1e-6, beyond tol 1e-9.
-    # The comparison once ran at a fixed 1e-8 and failed both runs.
+
+def test_predecessor_roundtrip_compares_at_the_run_tolerance(monkeypatch):
+    # t_back off by a relative 1e-7 is within tol 1e-6 and beyond tol 1e-9;
+    # a fixed 1e-8 threshold would fail both runs
     real = fuzz.recover_idempotent
     monkeypatch.setattr(fuzz, "recover_idempotent",
                         lambda *args: real(*args).scale(1.0 + 1e-7))
-    cfg = RunConfig(backend=FLOAT, tol=tol, trials=6, dim_max=3, seed=4)
-    result = run_property(cfg, "predecessor-roundtrip")
-    if tol == 1e-6:
-        assert result.failures == 0
-    else:
-        assert result.failures > 0
-        assert result.first_counterexample["reason"] == "recovered parameter differs"
+    runs = {tol: run_property(RunConfig(backend=FLOAT, tol=tol, trials=6,
+                                        dim_max=3, seed=4),
+                              "predecessor-roundtrip")
+            for tol in (1e-6, 1e-9)}
+    assert runs[1e-6].failures == 0
+    assert runs[1e-9].failures > 0
+    assert runs[1e-9].first_counterexample["reason"] == "recovered parameter differs"
