@@ -27,10 +27,10 @@ condition; dedicated suites assert the agreement on random inputs.
 A report's verdict is decided when it is made and its witnesses on their
 first read, so callers that read only verdicts (the cover diagram, the
 criteria, the fuzz implications) pay for no witness. ``diamond_table``
-decides every ordered pair of a float family in the diamond order, with
-one stacked product per row for the sandwich identities, holding one row,
-O(k·m·n) entries, at a time; ``verdict_table`` returns the table of any
-relation in ``RELATIONS``, through it for a float diamond family.
+decides every ordered pair of a square or wide float family in the
+diamond order, with one stacked product per row for the sandwich
+identities; ``verdict_table`` returns the table of any relation in
+``RELATIONS``, through it where it decides and by the pair loop otherwise.
 """
 
 from __future__ import annotations
@@ -230,51 +230,37 @@ def _require_diamond(a: Matrix, b: Matrix, tol: float, rank_factor: float):
 
 
 def diamond_table(mats, tol: float = EQ_TOL,
-                  rank_factor: float = RANK_FACTOR) -> list:
+                  rank_factor: float = RANK_FACTOR) -> Optional[list]:
     """``[[i == j or leq_diamond(mats[i], mats[j], tol, rank_factor).verdict
-    for j ...] for i ...]`` for k equally shaped float matrices.
+    for j ...] for i ...]`` for k >= 2 equally shaped m x n float matrices
+    with m <= n. It returns None for any other family, and for one where a
+    row's products leave the float range: the pair loop decides those,
+    raising and warning as it does.
 
     Row i forms the sandwich products (A_i B_j*) A_i for all j in one
     stacked matmul on B_j*, laid out as ``B_j.ct`` is, so that each is the
-    per-pair product bit for bit, and A_i A_i* A_i once. It then decides
-    the pairs i != j in order by ``_compare``'s rule, and only pairs
-    whose sandwich holds go on to the range inclusions. A block of the row
-    holding a non-finite entry (an overflow) is decided by ``leq_diamond``,
-    which warns and raises there as the pair loop does;
-    a single matrix computes nothing. The stacks held at once are one block
-    of one row: at most about 3·k·m·n entries for m x n inputs, or one
-    m x m product when m > k·n.
+    per-pair product bit for bit, and A_i A_i* A_i is its slice i. It then
+    decides the pairs i != j in order by ``_compare``'s rule, and only
+    pairs whose sandwich holds go on to the range inclusions. A row's
+    stacks, k·m·m <= k·m·n entries and two of k·m·n, are all it holds.
     """
     k = len(mats)
-    table = [[i == j for j in range(k)] for i in range(k)]
-    if k < 2:
-        return table
-    m, n = mats[0].shape
+    if k < 2 or mats[0].rows > mats[0].cols:
+        return None
     adj = np.stack([x._entries for x in mats]).conj().transpose(0, 2, 1)
-    # a block of j whose m x m products (A_i B_j*) stay within k·m·n entries
-    step = max(1, k * n // max(m, n, 1))
+    table = [[i == j for j in range(k)] for i in range(k)]
     for i, a in enumerate(mats):
         e = a._entries
         with np.errstate(over="ignore", invalid="ignore"):
-            aaa = (e @ adj[i]) @ e
-        aaa_norm = None
-        for lo in range(0, k, step):
-            js = [j for j in range(lo, min(lo + step, k)) if j != i]
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = (e @ adj[lo:lo + step]) @ e
-                d = s - aaa
-            if not np.isfinite(d).all():
-                for j in js:
-                    table[i][j] = leq_diamond(a, mats[j], tol,
-                                              rank_factor).verdict
-                continue
-            for j in js:
-                # _compare's order: |S|, |A A* A|, the bound, |S - A A* A|
-                s_norm = float_norm(s[j - lo])
-                if aaa_norm is None:
-                    aaa_norm = float_norm(aaa)
-                bound = tolerance_bound(tol, s_norm, aaa_norm)
-                table[i][j] = (float_norm(d[j - lo]) <= bound
+            s = (e @ adj) @ e
+            d = s - s[i]
+        if not np.isfinite(d).all():
+            return None
+        aaa_norm = float_norm(s[i])
+        for j in range(k):
+            if j != i:
+                bound = tolerance_bound(tol, float_norm(s[j]), aaa_norm)
+                table[i][j] = (float_norm(d[j]) <= bound
                                and _ranges_leq(a, mats[j], rank_factor))
     return table
 
@@ -450,7 +436,8 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> list:
     """The table ``leq[i][j]`` of equally shaped matrices on one backend:
     True for i == j, else the verdict of ``RELATIONS[relation]`` on (mats[i],
-    mats[j]), which ``diamond_table`` decides for a float diamond family.
+    mats[j]), which ``diamond_table`` decides for a float diamond family
+    where it returns a table.
     An unknown relation, a member that is not a Matrix, mixed shapes or
     backends, and a tol that ``tolerance_bound`` refuses are refused before
     any verdict, an empty family included."""
@@ -465,7 +452,9 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
             raise DomainError("poset needs a single backend")
     tolerance_bound(tol)
     if relation == "diamond" and mats and mats[0].backend == FLOAT:
-        return diamond_table(mats, tol, rank_factor)
+        table = diamond_table(mats, tol, rank_factor)
+        if table is not None:
+            return table
     pred = RELATIONS[relation]
     k = len(mats)
     return [[i == j or pred(mats[i], mats[j], tol, rank_factor).verdict

@@ -79,21 +79,17 @@ def gauss_array(rng: random.Random, count: int) -> np.ndarray:
     bit for bit, leaving ``rng`` in the state those calls leave it in.
 
     ``Random.gauss`` turns two ``random()`` uniforms into a cosine and a
-    sine draw and keeps the sine in ``gauss_next`` for the next call. Here
-    one ``getrandbits`` call supplies the four words of every pair, the
-    uniforms are rebuilt from them as ``random()`` builds them, a pending
-    ``gauss_next`` is served first, and the sine of an odd last pair is
-    stored back in it. log, cos and sin go through ``math``, the libm that
-    ``gauss`` calls, because numpy's vectorized ones may round differently.
+    sine draw and keeps the sine in ``gauss_next`` for the next call. For
+    an even count with no sine pending, one ``getrandbits`` call supplies
+    the four words of every pair and the uniforms are rebuilt from them as
+    ``random()`` builds them; log, cos and sin go through ``math``, the
+    libm that ``gauss`` calls, because numpy's vectorized ones may round
+    differently. An odd count, a pending sine or a subclass of ``Random``,
+    which may redefine ``random()``, draws entry by entry.
     """
-    if type(rng) is not random.Random:  # a subclass may redefine random()
+    if type(rng) is not random.Random or count % 2 or rng.gauss_next is not None:
         return np.array([rng.gauss(0.0, 1.0) for _ in range(count)], dtype=float)
-    head = []
-    if count and rng.gauss_next is not None:
-        head = [rng.gauss_next]
-        rng.gauss_next = None
-    tail = count - len(head)
-    pairs = (tail + 1) // 2
+    pairs = count // 2
     words = np.frombuffer(rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"),
                           dtype="<u4").reshape(pairs, 4)
     top = (words >> _PAIR_SHIFTS).astype(float)
@@ -104,11 +100,8 @@ def gauss_array(rng: random.Random, count: int) -> np.ndarray:
     z = np.empty((pairs, 2))
     z[:, 0] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
     z[:, 1] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
-    z = z.reshape(-1)
-    if tail % 2:
-        rng.gauss_next = float(z[tail])
     # gauss returns mu + z * sigma, and 0.0 + -0.0 is 0.0
-    return np.concatenate((head, z[:tail])) + 0.0
+    return z.reshape(-1) + 0.0
 
 
 def random_unitary(n: int, rng: random.Random) -> Matrix:
