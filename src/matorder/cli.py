@@ -2,7 +2,8 @@
 
 Matrices travel as JSON files (see matrix_to_dict for the wire format).
 Exit codes: 0 for success (for ``check``: the relation holds), 1 for a
-false verdict or failed fuzz property, 2 for any usage or input error.
+false verdict or failed fuzz property, 2 for any usage or input error
+and for running out of memory.
 Each command returns its exit code and its whole output, which ``main``
 then writes; a reader that closes the pipe early leaves the exit code as
 it was.
@@ -229,13 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = None
     try:
         # Matrix turns an overflow into a DomainError, so numpy's warning
         # about the same overflow would only be noise on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             code, text = args.func(args)
-    except MatOrderError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (MatOrderError, MemoryError) as exc:
+        # without its traceback, what the command had built is freed when
+        # this block ends, before the error line is written
+        error = exc.with_traceback(None)
+    if error is not None:
+        message = str(error)
+        if isinstance(error, MemoryError):
+            message = "out of memory: " + message if message else "out of memory"
+        print("error: %s" % message, file=sys.stderr)
         return 2
     try:
         sys.stdout.write(text)

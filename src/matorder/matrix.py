@@ -737,17 +737,22 @@ def spectral_rank(s, shape: tuple, rank_factor: float, floor: float = 0.0) -> in
     matrix of this shape exceed the larger of ``floor`` and the spectral
     cutoff, the longer side times s[0] times rank_factor machine epsilons.
 
-    A negative rank_factor would count roundoff as rank, and a NaN or
-    infinite one leaves no cutoff, so anything outside [0, inf) is a
-    DomainError, as ``tolerance_bound`` treats tol.
+    A rank_factor that ``_check_rank_factor`` refuses is a DomainError.
     """
-    if not 0.0 <= rank_factor < math.inf:
-        raise DomainError("rank_factor %r is not a finite non-negative number"
-                          % (rank_factor,))
+    _check_rank_factor(rank_factor)
     if s.size == 0 or s[0] == 0.0:
         return 0
     cutoff = max(shape) * s[0] * EPS * rank_factor
     return int(np.count_nonzero(s > max(cutoff, floor)))
+
+
+def _check_rank_factor(rank_factor: float):
+    """A negative rank_factor would count roundoff as rank, and a NaN or
+    infinite one leaves no cutoff, so anything outside [0, inf) is a
+    DomainError, as ``tolerance_bound`` treats tol."""
+    if not 0.0 <= rank_factor < math.inf:
+        raise DomainError("rank_factor %r is not a finite non-negative number"
+                          % (rank_factor,))
 
 
 def rank_floor(tol: float, rank_factor: float, shape: tuple, *norms: float) -> float:

@@ -41,9 +41,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix, _compare,
-                     _kept, _rank, float_norm, matrices_equal, rank,
-                     rank_floor, tolerance_bound)
+from .matrix import (EQ_TOL, EXACT, FLOAT, RANK_FACTOR, Matrix,
+                     _check_rank_factor, _compare, _kept, _rank, float_norm,
+                     matrices_equal, rank, rank_floor, tolerance_bound)
 from .pinv import (_inner_inverse, moore_penrose, projector_range,
                    projector_rowspace)
 from .subspaces import (column_space, subspace_intersection_dim, subspace_leq)
@@ -74,11 +74,13 @@ class OrderReport:
                 "witnesses": dict(self.witnesses)}
 
 
-def _check_pair(a: Matrix, b: Matrix, tol: float):
+def _check_pair(a: Matrix, b: Matrix, tol: float, rank_factor: float):
     if not isinstance(a, Matrix) or not isinstance(b, Matrix):
         raise ShapeError("order predicates compare two matrices")
     a._check_same_shape(b, "order comparison")
-    tolerance_bound(tol)  # on the exact backend too, which compares without it
+    # on the exact backend too, which compares and ranks without them
+    tolerance_bound(tol)
+    _check_rank_factor(rank_factor)
 
 
 def _max_margin(ratios) -> Optional[float]:
@@ -92,7 +94,7 @@ def leq_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     The equivalent pseudoinverse form A+A = A+B, AA+ = BA+ is evaluated
     for the witnesses and recorded for cross-checking.
     """
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     act = a.ct
     g_left, m1 = _compare(act @ a, act @ b, tol)
     g_right, m2 = _compare(a @ act, b @ act, tol)
@@ -130,7 +132,7 @@ def _difference(a: Matrix, b: Matrix, tol: float) -> Matrix:
 def leq_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
               rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Minus order: rank(B - A) = rank(B) - rank(A)."""
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     ra = rank(a, rank_factor)
     rb = rank(b, rank_factor)
     rd = rank(_difference(a, b, tol), rank_factor)
@@ -159,7 +161,7 @@ def leq_space(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     otherwise no sample is drawn, ``rng`` is left untouched and that witness
     is None.
     """
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     verdict = _ranges_leq(a, b, rank_factor)
     if inner_samples > 0 and rng is None:
         rng = random.Random(0)
@@ -210,7 +212,7 @@ def leq_diamond(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     decides the sandwich first, since its products are the ones that
     overflow, then col(A) <= col(B) and col(A*) <= col(B*), stopping at
     the first false term."""
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     sandwich, ratio = _compare(a @ b.ct @ a, a @ a.ct @ a, tol)
     verdict = sandwich and _ranges_leq(a, b, rank_factor)
 
@@ -241,8 +243,9 @@ def diamond_table(mats, tol: float = EQ_TOL,
     stacked matmul on B_j*, laid out as ``B_j.ct`` is, so that each is the
     per-pair product bit for bit, and A_i A_i* A_i is its slice i. It then
     decides the pairs i != j in order by ``_compare``'s rule, and only
-    pairs whose sandwich holds go on to the range inclusions. A row's
-    stacks, k·m·m <= k·m·n entries and two of k·m·n, are all it holds.
+    pairs whose sandwich holds go on to the range inclusions. It holds one
+    row's stacks at a time: k·m·m <= k·m·n entries of the A_i B_j* and
+    2·k·m·n of the sandwiches and their differences.
     """
     k = len(mats)
     if k < 2 or mats[0].rows > mats[0].cols:
@@ -268,7 +271,7 @@ def diamond_table(mats, tol: float = EQ_TOL,
 def leq_left_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                   rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Left-star order: A*A = A*B and col(A) <= col(B)."""
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     gram, ratio = _compare(a.ct @ a, a.ct @ b, tol)
     incl = subspace_leq(a, b, rank_factor)
     return OrderReport("left-star", gram and incl, "definition", {
@@ -280,7 +283,7 @@ def leq_right_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                    rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Right-star order: AA* = BA* and col(A*) <= col(B*), which is A*
     below B* in the left-star order."""
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     left = leq_left_star(a.ct, b.ct, tol, rank_factor)
     w = left.witnesses
     return OrderReport("right-star", left.verdict, "definition", {
@@ -295,7 +298,7 @@ def leq_right_star(a: Matrix, b: Matrix, tol: float = EQ_TOL,
 def diamond_via_dagger_minus(a: Matrix, b: Matrix, tol: float = EQ_TOL,
                              rank_factor: float = RANK_FACTOR) -> OrderReport:
     """Diamond order via the pseudoinverses: A+ below B+ in the minus order."""
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     inner = leq_minus(moore_penrose(a, rank_factor),
                       moore_penrose(b, rank_factor), tol, rank_factor)
     return OrderReport("diamond", inner.verdict, "dagger-minus", inner.witnesses)
@@ -308,7 +311,7 @@ def diamond_via_range_split(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     Witnesses also record whether col(B*) splits as the direct sum of the
     two ranges, which is an equivalent reading of the same condition.
     """
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     diff = _difference(ad, bd, tol)
@@ -337,7 +340,7 @@ def diamond_via_rank(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     ``rank_floor`` of |A+|_F and |B+|_F, the scale of the operands: their
     ``tolerance_bound``, or under a tiny tol their spectral cutoff.
     """
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     ad = moore_penrose(a, rank_factor)
     bd = moore_penrose(b, rank_factor)
     eye = Matrix.identity(a.cols, a.backend)
@@ -384,7 +387,7 @@ def left_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     A+A = A+B; (d) diamond plus A*B Hermitian. All four booleans are
     reported; they agree on every valid input.
     """
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     base = leq_left_star(a, b, tol, rank_factor)
 
     def witnesses():
@@ -409,7 +412,7 @@ def right_star_equivalents(a: Matrix, b: Matrix, tol: float = EQ_TOL,
     """The four readings of the right-star relation, which are those of
     ``left_star_equivalents`` on (A*, B*): (a) definition; (b) diamond plus
     AA* = BA*; (c) diamond plus AA+ = BA+; (d) diamond plus BA* Hermitian."""
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     left = left_star_equivalents(a.ct, b.ct, tol, rank_factor)
     return OrderReport("right-star", left.verdict, left.characterization,
                        lambda: left.witnesses)
@@ -439,8 +442,9 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
     mats[j]), which ``diamond_table`` decides for a float diamond family
     where it returns a table.
     An unknown relation, a member that is not a Matrix, mixed shapes or
-    backends, and a tol that ``tolerance_bound`` refuses are refused before
-    any verdict, an empty family included."""
+    backends, a tol that ``tolerance_bound`` refuses and a rank_factor
+    that the float rank rule refuses are refused before any verdict, on
+    both backends, an empty family included."""
     if relation not in RELATIONS:
         raise DomainError("unknown relation %r" % relation)
     for m in mats:
@@ -451,6 +455,7 @@ def verdict_table(mats, relation: str, tol: float = EQ_TOL,
         if m.backend != mats[0].backend:
             raise DomainError("poset needs a single backend")
     tolerance_bound(tol)
+    _check_rank_factor(rank_factor)
     if relation == "diamond" and mats and mats[0].backend == FLOAT:
         table = diamond_table(mats, tol, rank_factor)
         if table is not None:
@@ -474,7 +479,7 @@ def projector_transfer(a: Matrix, b: Matrix, relation: str,
     """
     if relation not in RELATIONS:
         raise DomainError("unknown relation %r" % relation)
-    _check_pair(a, b, tol)
+    _check_pair(a, b, tol, rank_factor)
     pred = RELATIONS[relation]
     direct = pred(a, b, tol, rank_factor).verdict
     pa = projector_range(a, rank_factor)

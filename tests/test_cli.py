@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matorder
+from conftest import AS_CAP
 from matorder import EQ_TOL, MatOrderError, Matrix, leq_space, matrix_to_json
 from matorder.cli import _json_text, main
 from matorder.fuzz import EXACT_PROPERTIES
@@ -343,6 +345,25 @@ def test_closed_stdout_ends_without_a_traceback(files):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_running_out_of_memory_exits_two(tmp_path, backend):
+    # the free side of an empty matrix asks the float pinv for a full SVD of
+    # 256 PiB, and the exact one for one JSON row per column: both pass the
+    # address-space cap that conftest.py sets, which the process inherits
+    assert resource.getrlimit(resource.RLIMIT_AS)[0] <= AS_CAP
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"rows": 0, "cols": 134217728, "backend": "%s", '
+                    '"entries": []}' % backend)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matorder.cli", "pinv", str(wide)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(matorder.__file__).parent.parent)))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])

@@ -20,6 +20,7 @@ from matorder import (DIAMOND_ROUTES, RELATIONS, DomainError, Matrix,
                       build_poset, build_predecessor, left_star_equivalents,
                       leq_diamond, leq_star, matrix_to_json, moore_penrose,
                       random_idempotent, right_star_equivalents)
+from matorder import orders
 from matorder.cli import main
 from matorder.sampling import (exact_pair, float_pair, log_uniform_sigma,
                                random_base_matrix, random_unitary)
@@ -202,6 +203,23 @@ def test_stacked_float_poset_equals_the_pairwise_diagram(items):
     assert (graph.nodes, graph.edges) == reference_poset(items)
 
 
+def test_square_float_family_is_decided_without_the_pair_loop(monkeypatch):
+    # every float diamond family the workloads build is square: the stacked
+    # table decides it, so a selection that sent it to the pair loop raises
+    b, bundles = _family(7, 4, 3)
+    mats = [b, moore_penrose(b), Matrix.zeros(4, 4, "float")] + [
+        x.predecessor for x in bundles]
+    want = [[i == j or leq_diamond(x, y).verdict for j, y in enumerate(mats)]
+            for i, x in enumerate(mats)]
+    assert any(want[i][j] for i in range(len(mats)) for j in range(i))
+
+    def pair_loop(*args, **kwargs):
+        raise AssertionError("the pair loop decided a square float family")
+    monkeypatch.setattr(orders, "leq_diamond", pair_loop)
+    monkeypatch.setitem(orders.RELATIONS, "diamond", pair_loop)
+    assert orders.verdict_table(mats, "diamond") == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(1, 4), st.integers(1, 4))
 def test_exact_poset_equals_the_report_diagram(seed, m, n):
@@ -292,8 +310,7 @@ SMALL = Matrix.from_complex([[1, 0], [0, 0]])
 CUBE_BIG = Matrix.from_complex([[5e102]])
 # A A* A = [[2x^3, 2x^3]] is finite and its Frobenius norm is not
 ROW_BIG = Matrix.from_complex([[4.2e102, 4.2e102]])
-# k·n < m, so each block holds one j: row 0's A A* A overflows, its own
-# block j = 0 decides no pair, and the next block raises
+# a tall family, which the pair loop decides: row 0's A A* A overflows
 COL_BIG = Matrix.from_complex([[1e103], [0.0], [0.0], [0.0]])
 
 

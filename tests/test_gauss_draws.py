@@ -72,6 +72,26 @@ def test_gauss_array_calls_in_sequence_continue_the_stream():
     assert rng.getstate() == ref.getstate()
 
 
+def test_even_count_with_nothing_pending_is_one_getrandbits_call():
+    # every draw the workloads make is such a call: it takes the bulk path,
+    # so a selection that drew it entry by entry calls gauss
+    ref, rng = random.Random(6), random.Random(6)
+    calls = []
+    getrandbits = rng.getrandbits
+
+    def counted(k):
+        calls.append("getrandbits")
+        return getrandbits(k)
+
+    def gauss(mu, sigma):
+        calls.append("gauss")
+        return random.Random.gauss(rng, mu, sigma)
+    rng.getrandbits, rng.gauss = counted, gauss
+    assert gauss_array(rng, 12).tobytes() == per_entry_gauss(ref, 12).tobytes()
+    assert calls == ["getrandbits"]
+    assert rng.getstate() == ref.getstate()
+
+
 class HalvedRandom(random.Random):
     def random(self):
         return super().random() / 2

@@ -412,6 +412,40 @@ def test_rank_factor_without_cutoff_is_a_domain_error(rank_factor):
     assert rank(a, 0.0) == 2
 
 
+BAD_RANK_FACTORS = [pytest.param(-1.0, id="negative"),
+                    pytest.param(float("nan"), id="nan"),
+                    pytest.param(float("inf"), id="inf")]
+
+
+@pytest.mark.parametrize("rank_factor", BAD_RANK_FACTORS)
+@pytest.mark.parametrize("name, fn", ALL_ROUTES)
+def test_invalid_rank_factor_is_refused_on_the_exact_backend(name, fn, rank_factor):
+    # exact ranks take no cutoff, so no exact call once read rank_factor
+    e = Matrix.exact([[1, 2], [0, 3]])
+    with pytest.raises(DomainError, match="rank_factor"):
+        fn(e, e, rank_factor=rank_factor)
+
+
+@pytest.mark.parametrize("rank_factor", BAD_RANK_FACTORS)
+@pytest.mark.parametrize("name, fn", ALL_ROUTES)
+def test_invalid_rank_factor_is_refused_before_a_float_verdict(name, fn, rank_factor):
+    # star's verdict reads no rank: it was once True, and only reading its
+    # witnesses raised
+    a = Matrix.from_complex([[1, 2j], [0, 3]])
+    with pytest.raises(DomainError, match="rank_factor"):
+        fn(a, a, rank_factor=rank_factor)
+
+
+@pytest.mark.parametrize("rank_factor", BAD_RANK_FACTORS)
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@pytest.mark.parametrize("mats", [[], [Matrix.exact([[1, 2], [0, 3]])] * 2,
+                                  [Matrix.from_complex([[1, 2j], [0, 3]])] * 2],
+                         ids=["empty", "exact", "float"])
+def test_verdict_table_refuses_invalid_rank_factor(mats, relation, rank_factor):
+    with pytest.raises(DomainError, match="rank_factor"):
+        orders.verdict_table(mats, relation, rank_factor=rank_factor)
+
+
 def test_zero_tolerance_margins():
     # under a zero bound only an exactly zero residual is equal: its margin
     # is 0.0, and any other residual is infinitely far past the bound
