@@ -419,19 +419,12 @@ BAD_RANK_FACTORS = [pytest.param(-1.0, id="negative"),
 
 @pytest.mark.parametrize("rank_factor", BAD_RANK_FACTORS)
 @pytest.mark.parametrize("name, fn", ALL_ROUTES)
-def test_invalid_rank_factor_is_refused_on_the_exact_backend(name, fn, rank_factor):
-    # exact ranks take no cutoff, so no exact call once read rank_factor
-    e = Matrix.exact([[1, 2], [0, 3]])
-    with pytest.raises(DomainError, match="rank_factor"):
-        fn(e, e, rank_factor=rank_factor)
-
-
-@pytest.mark.parametrize("rank_factor", BAD_RANK_FACTORS)
-@pytest.mark.parametrize("name, fn", ALL_ROUTES)
-def test_invalid_rank_factor_is_refused_before_a_float_verdict(name, fn, rank_factor):
-    # star's verdict reads no rank: it was once True, and only reading its
-    # witnesses raised
-    a = Matrix.from_complex([[1, 2j], [0, 3]])
+@pytest.mark.parametrize("a", [Matrix.exact([[1, 2], [0, 3]]),
+                               Matrix.from_complex([[1, 2j], [0, 3]])],
+                         ids=["exact", "float"])
+def test_invalid_rank_factor_is_refused_at_the_call(a, name, fn, rank_factor):
+    # exact ranks take no cutoff and a float star verdict reads no rank, so
+    # only the call's own check refuses rank_factor there
     with pytest.raises(DomainError, match="rank_factor"):
         fn(a, a, rank_factor=rank_factor)
 
