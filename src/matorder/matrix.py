@@ -707,7 +707,13 @@ def exact_rref(a: Matrix):
 
 
 def rank(a: Matrix, rank_factor: float = RANK_FACTOR) -> int:
-    """Rank: pivot count (exact) or singular values above a spectral cutoff (float)."""
+    """Rank: pivot count (exact) or singular values above a spectral cutoff (float).
+
+    An exact rank is kept under ``"rank"``, where the exact ``moore_penrose``
+    keeps rank(A) on A+, so ranking A+ eliminates nothing. A float rank is
+    counted afresh, A+'s too: its singular values near the cutoff carry an
+    error of about eps times the condition number.
+    """
     return _rank(a, rank_factor, 0.0)
 
 
@@ -715,7 +721,7 @@ def _rank(a: Matrix, rank_factor: float, floor: float) -> int:
     """``rank``, counting on the float backend only singular values above
     ``floor`` as well as above the spectral cutoff."""
     if a.backend == EXACT:
-        return len(_elimination(a)[3])
+        return _kept(a, "rank", lambda a, key: len(_elimination(a)[3]))
     # not float_svd: on numpy 2.4.6 its values differ in the last bits and could move a rank
     return spectral_rank(np.linalg.svd(a.to_ndarray(), compute_uv=False),
                          a.shape, rank_factor, floor)

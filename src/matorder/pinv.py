@@ -9,6 +9,13 @@ pseudoinverse are available as an independent check either way. Every
 inner inverse, the space order's samples included, comes from the one
 formula a+ + w - (a+ a) w (a a+) in ``_inner_inverse``. a+ and the
 projectors a a+ and a+ a are kept on a, one per rank_factor.
+
+An exact a+ carries the rank r of the elimination it was built from,
+kept under ``"rank"`` where ``rank`` reads it: rank(a+) = rank(a) holds
+exactly, so ranking a+ (the minus order on a+ and b+) eliminates nothing.
+A float a+ carries no rank. Its computed singular values carry an error
+of about eps times the condition number of a, so near the spectral cutoff
+its own count can differ from r, and ``rank`` decides it afresh.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import ShapeError
-from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, exact_rref, float_svd,
-                     inverse, matrices_equal, memoized)
+from .matrix import (EQ_TOL, EXACT, RANK_FACTOR, Matrix, _kept, exact_rref,
+                     float_svd, inverse, matrices_equal, memoized)
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,14 @@ def _exact_pinv(a: Matrix) -> Matrix:
     red, pivots = exact_rref(a)
     r = len(pivots)
     if r == 0:
-        return Matrix.zeros(a.cols, a.rows, EXACT)
-    c = a.columns(pivots)
-    rr = red.submatrix(0, r, 0, a.cols)
-    return rr.ct @ inverse(c.ct @ a @ rr.ct) @ c.ct
+        out = Matrix.zeros(a.cols, a.rows, EXACT)
+    else:
+        c = a.columns(pivots)
+        rr = red.submatrix(0, r, 0, a.cols)
+        out = rr.ct @ inverse(c.ct @ a @ rr.ct) @ c.ct
+    # rank(A+) = rank(A) exactly, so rank reads r and does not eliminate A+
+    _kept(out, "rank", lambda out, key: r)
+    return out
 
 
 def _float_pinv(a: Matrix, rank_factor: float) -> Matrix:

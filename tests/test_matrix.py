@@ -331,6 +331,11 @@ def test_rank_counts_only_values_above_the_cutoff():
     # with rank_factor 0 the cutoff is 0, and a zero singular value is not rank
     assert rank(Matrix.from_complex([[1, 0], [0, 0]]), rank_factor=0.0) == 1
     assert rank(Matrix.from_complex([[1, 0], [0, 1]]), rank_factor=0.0) == 2
+    # the default cutoff is 2 * 1 * 64 eps ~ 2.8e-14, and at rank_factor 8 it
+    # is ~ 3.6e-15, so a singular value of 1e-14 is rank only at the latter
+    near = Matrix.from_complex([[1, 0], [0, 1e-14]])
+    assert rank(near) == 1
+    assert rank(near, rank_factor=8.0) == 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -328,6 +328,10 @@ def test_exact_pair_calls_eliminate_the_dagger_difference_once(monkeypatch):
     eliminated = _record_eliminations(monkeypatch)
     _pair_calls(a, b)
     assert sum(m == diff for m in eliminated) == 1
+    # an exact A+ carries rank(A), so the minus order on A+ and B+ ranks
+    # both without eliminating either
+    daggers = (moore_penrose(_fresh(a)), moore_penrose(_fresh(b)))
+    assert not any(m == d for m in eliminated for d in daggers)
 
 
 @pytest.mark.parametrize("backend", [lambda m: m, Matrix.to_float],

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from matorder import (EXACT, FLOAT, Matrix, ShapeError, inner_inverse,
                       is_partial_isometry, leq_space, matrices_equal,
-                      moore_penrose, penrose_residuals, projector_range,
-                      projector_rowspace)
+                      matrix_from_dict, matrix_to_dict, moore_penrose,
+                      penrose_residuals, projector_range, projector_rowspace,
+                      rank)
 from matorder.sampling import float_pair
 
 SMALL = st.integers(min_value=-3, max_value=3)
@@ -42,8 +43,11 @@ def test_pinv_frozen_rank_one_example():
 
 
 def test_pinv_of_zero_and_empty():
-    assert moore_penrose(Matrix.zeros(2, 3, EXACT)) == Matrix.zeros(3, 2, EXACT)
     for m, n in ((2, 3), (0, 2), (2, 0)):
+        zd = moore_penrose(Matrix.zeros(m, n, EXACT))
+        assert zd == Matrix.zeros(n, m, EXACT)
+        # the zero-rank result carries its rank too
+        assert rank(zd) == rank(matrix_from_dict(matrix_to_dict(zd))) == 0
         assert moore_penrose(Matrix.zeros(m, n, FLOAT)) == Matrix.zeros(n, m, FLOAT)
 
 
@@ -54,6 +58,8 @@ def test_exact_pinv_satisfies_penrose_equations(a):
     res = penrose_residuals(a, ad)
     assert res.all_satisfied
     assert res.r1 == res.r2 == res.r3 == res.r4 == 0.0
+    # ad carries rank(a); a copy through JSON keeps nothing and is eliminated
+    assert rank(ad) == rank(a) == rank(matrix_from_dict(matrix_to_dict(ad)))
     assert moore_penrose(ad) == a
 
 
