@@ -579,7 +579,11 @@ def float_norm(arr) -> float:
     # sliced view would sum the squares in another order
     x = arr.ravel(order="K")
     re, im = x.real, x.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
+    try:
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+    except RuntimeWarning:
+        # numpy's overflow warning, raised under a warnings-as-errors filter
+        norm = math.inf
     if norm == math.inf or (norm < _TINY_NORM and np.count_nonzero(x)):
         # the squares of entries beyond 1e154 overflowed, or those of
         # entries this small lost bits: compute again on the entries scaled

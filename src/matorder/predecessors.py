@@ -16,6 +16,7 @@ square/pseudoinverse exchange, and monotonicity of the pseudoinverse map.
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,6 +39,8 @@ def random_idempotent(r: int, k: int,
     """
     if not 0 <= k <= r:
         raise DomainError("rank must satisfy 0 <= k <= r")
+    if backend not in (EXACT, FLOAT):
+        raise BackendError("unknown backend %s" % reprlib.repr(backend))
     if rng is None or isinstance(rng, int):
         rng = random.Random(rng)
     if k == 0:

@@ -105,8 +105,6 @@ def gauss_array(rng: random.Random, count: int) -> np.ndarray:
 
 
 def random_unitary(n: int, rng: random.Random) -> Matrix:
-    if n == 0:
-        return Matrix.identity(0, FLOAT)
     # entry by entry, real part then imaginary part, in row-major order
     z = gauss_array(rng, 2 * n * n).view(complex).reshape(n, n)
     q, r = np.linalg.qr(z)

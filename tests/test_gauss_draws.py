@@ -115,6 +115,21 @@ def test_random_unitary_matches_per_entry_construction(n):
     assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("pending", [False, True])
+def test_random_unitary_of_size_zero_draws_nothing(pending):
+    # the general path serves n = 0: no draw, and QR of a 0 x 0 array
+    rng = random.Random(3)
+    if pending:
+        rng.gauss(0.0, 1.0)
+    state = rng.getstate()
+    assert gauss_array(rng, 0).shape == (0,)
+    q, r = np.linalg.qr(np.empty((0, 0), dtype=complex))
+    assert q.shape == r.shape == (0, 0)
+    u = random_unitary(0, rng)
+    assert (u.shape, u.backend) == ((0, 0), FLOAT)
+    assert rng.getstate() == state
+
+
 def space_reports(monkeypatch, param, backend):
     """leq_space reports, with inner_samples=3 and one shared rng, over
     pairs of odd and even shapes built with ``param`` as the sampler."""

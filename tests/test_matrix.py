@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from matorder import (EPS, EXACT, FLOAT, BackendError, DomainError, MatOrderError,
                       Matrix, ShapeError, block, column_space, exact_rref, hstack,
-                      inverse, is_zero_matrix, leq_minus, matrices_equal,
+                      inverse, is_zero_matrix, leq_minus, leq_space, matrices_equal,
                       matrix_from_dict, matrix_from_json, matrix_to_dict,
                       matrix, matrix_to_json, moore_penrose, rank, vstack)
 from matorder.decomp import hartwig_spindelbock
@@ -845,6 +846,20 @@ def test_frobenius_of_huge_entries_is_finite():
     # |a| + |b| overflows, so no relative bound separates these two
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError):
         matrices_equal(Matrix.from_complex([[1e308]]), Matrix.from_complex([[9e307]]))
+
+
+def test_frobenius_of_huge_entries_under_warnings_as_errors():
+    # the first pass's overflow warning, raised as an exception, is the
+    # overflow the rescaled pass handles: same bits as with it ignored
+    def make():
+        return Matrix.from_complex([[1e200, 0], [0, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = make().frobenius()
+        assert leq_minus(make(), make()).verdict
+        assert leq_space(make(), make()).verdict
+    with np.errstate(over="ignore"):
+        assert norm.hex() == make().frobenius().hex() == (1e200).hex()
 
 
 def test_frobenius_of_tiny_entries_is_not_flushed_to_zero():

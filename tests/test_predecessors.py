@@ -42,6 +42,15 @@ def test_random_idempotent_determinism_and_edges():
         random_idempotent(2, -1)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_random_idempotent_refuses_an_unknown_backend_before_drawing(k):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(BackendError, match="unknown backend 'bogus'"):
+        random_idempotent(3, k, rng, backend="bogus")
+    assert rng.getstate() == state
+
+
 def test_predecessor_frozen_oracle():
     a = diamond_predecessor(DIAG, T_SHEAR)
     assert matrices_equal(a, Matrix.from_complex([[1, 0], [1, 0]]), TOL)

@@ -1,10 +1,10 @@
-"""A fixed slice of the verdict corpus still gives the committed outputs.
+"""Every entry of the verdict corpus still gives the committed output.
 
 tools/verdicts.py writes VERDICTS.json: the output of every operation of the
-benchmark pools at fixed seeds, plus two fixed-seed fuzz runs. Rerunning all
-of it takes minutes, so this suite replays about 200 of those operations
-(the first units of one pool per workload) and checks each output against
-the committed file, so that a change that moves a verdict fails fast. The
+benchmark pools at fixed seeds, plus two fixed-seed fuzz runs. This suite
+regenerates the whole corpus, one case per section (each workload's pools,
+and the fuzz runs), and compares it with the committed file, so a change
+that moves any recorded verdict fails and names the keys it moved. The
 script's --check mode is tested on a stand-in corpus.
 """
 
@@ -17,17 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (workload, seed, units of its pool): 72 + 108 + 10 + 23 operations. Every
-# ninth exact pair covers the eight construction kinds of that pool, and
-# the first twelve float pairs its kinds at n = 16, 32 and 64.
-SLICE = [("exact-battery", 1, slice(0, None, 9)),
-         ("float-battery", 1, slice(0, 12)),
-         ("diamond-family", 1, slice(0, None, 4)),
-         ("cli", 1, slice(None))]
 
-
-@pytest.fixture(scope="module")
-def verdicts():
+def _load_verdicts():
     spec = importlib.util.spec_from_file_location(
         "matorder_verdicts", ROOT / "tools" / "verdicts.py")
     module = importlib.util.module_from_spec(spec)
@@ -39,9 +30,7 @@ def verdicts():
     return module
 
 
-@pytest.fixture(scope="module")
-def workloads(verdicts):
-    return verdicts.load_workloads().WORKLOADS
+verdicts = _load_verdicts()
 
 
 @pytest.fixture(scope="module")
@@ -49,25 +38,37 @@ def committed():
     return json.loads((ROOT / "VERDICTS.json").read_text())
 
 
+def _in_section(key: str, name: str) -> bool:
+    return key.startswith(name + "/")
+
+
 def test_corpus_covers_every_operation(committed):
-    # 4,224 pool operations (exact-battery 1-3, float-battery 1-10,
-    # diamond-family 1-3) and the 23 commands of the cli pool
-    ops = sum(len(out) for key, out in committed.items()
-              if not key.startswith("fuzz/"))
-    assert ops == 4224 + 23
+    # with the section cases this is what --check checks: the file is in
+    # the form the script writes, and each key lies in exactly one
+    # section, no section empty, the sections in corpus order
+    assert verdicts.dumps(committed) == (ROOT / "VERDICTS.json").read_text()
+    owners = []
+    for key in committed:
+        owner = [i for i, name in enumerate(verdicts.SECTIONS) if _in_section(key, name)]
+        assert len(owner) == 1, key
+        owners += owner
+    assert owners == sorted(owners)
+    assert set(owners) == set(range(len(verdicts.SECTIONS)))
     assert committed["fuzz/exact"]["exit"] == 0
     assert committed["fuzz/float"]["exit"] == 0
 
 
-@pytest.mark.parametrize("name, seed, units", SLICE, ids=[w for w, _, _ in SLICE])
-def test_slice_matches_committed_corpus(verdicts, workloads, committed,
-                                        tmp_path, name, seed, units):
-    workload = workloads[name]
-    for key, unit in verdicts.pool(workload, seed, tmp_path)[units]:
-        assert verdicts.unit_outputs(workload, unit, tmp_path) == committed[key], key
+@pytest.mark.parametrize("name", verdicts.SECTIONS)
+def test_section_matches_committed_corpus(committed, name):
+    fresh = dict(verdicts.section(name))
+    want = {key: out for key, out in committed.items() if _in_section(key, name)}
+    assert verdicts.moved(want, fresh) == []
+    # the same keys in the same order and the same JSON text: moved()
+    # compares values, and 1 == 1.0 == True
+    assert verdicts.dumps(fresh) == verdicts.dumps(want)
 
 
-def test_check_prints_each_moved_key_and_writes_nothing(verdicts, committed, tmp_path,
+def test_check_prints_each_moved_key_and_writes_nothing(committed, tmp_path,
                                                       monkeypatch, capsys):
     path = tmp_path / "VERDICTS.json"
     text = verdicts.dumps(committed)

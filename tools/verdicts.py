@@ -5,17 +5,17 @@
     python3 tools/verdicts.py --stdout DIR
 
 Runs, in this process, every operation of every unit of the benchmark pools
-(exact-battery at seeds 1-3, float-battery at 1-10, diamond-family at 1-3,
-cli at 1) and the two fixed-seed fuzz runs of the CLI, and writes one JSON
-object, one line per unit, to OUT (default: VERDICTS.json at the root of
-this checkout). Outputs are verdicts, integer witnesses, booleans, exact
-entries and graph text; no float margin is recorded, so a change that only
-moves roundoff leaves the file unchanged. Regenerate the file and diff it
-against the committed copy to see every verdict a change moves, or run
-with --check: it regenerates the corpus in memory, writes nothing, prints
-each key whose output differs from FILE (default: the committed
-VERDICTS.json) and exits 1 on any difference, 0 when the regenerated file
-would be byte-identical.
+at the seeds SEEDS lists for each workload, and the two fixed-seed fuzz runs
+of the CLI, and writes one JSON object, one line per unit, to OUT (default:
+VERDICTS.json at the root of this checkout). section() regenerates one part
+of it: a workload's pools, or the fuzz runs. Outputs are verdicts, integer
+witnesses, booleans, exact entries and graph text; no float margin is
+recorded, so a change that only moves roundoff leaves the file unchanged.
+Regenerate the file and diff it against the committed copy to see every
+verdict a change moves, or run with --check: it regenerates the corpus in
+memory, writes nothing, prints each key whose output differs from FILE
+(default: the committed VERDICTS.json) and exits 1 on any difference, 0
+when the regenerated file would be byte-identical.
 
 With --stdout, it instead writes the seed-1 cli pool's input files to
 DIR/inputs, runs each of its commands, the two fuzz runs and the two
@@ -65,6 +65,7 @@ SEEDS = {"exact-battery": range(1, 4), "float-battery": range(1, 11),
 REPORT_POOLS = ("exact-battery", "float-battery")
 FUZZ = {"fuzz/exact": ["fuzz", "--trials", "200"],
         "fuzz/float": ["--backend", "float", "fuzz", "--trials", "100"]}
+SECTIONS = (*SEEDS, "fuzz")
 # run by --stdout only, on inputs of the seed-1 cli pool
 DECOMPOSE = {"decompose/svd": ["decompose", "svd", "fa.json"],
              "decompose/hs": ["decompose", "hs", "base.json"]}
@@ -106,19 +107,24 @@ def fuzz_output(argv) -> dict:
     return {"exit": code, "stdout": json.loads(text.getvalue())}
 
 
-def corpus() -> dict:
-    workloads = load_workloads()
-    entries = {}
+def section(name: str):
+    """Yield (corpus key, output), in corpus order, for one section: a
+    workload of SEEDS at each of its seeds, or "fuzz", the FUZZ runs. A
+    section's keys are those that start with its name and a slash."""
+    if name == "fuzz":
+        for key, argv in FUZZ.items():
+            yield key, fuzz_output(argv)
+        return
+    workload = load_workloads().WORKLOADS[name]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, seeds in SEEDS.items():
-            workload = workloads.WORKLOADS[name]
-            for seed in seeds:
-                workdir = Path(tmp) / name / str(seed)
-                for key, unit in pool(workload, seed, workdir):
-                    entries[key] = unit_outputs(workload, unit, workdir)
-    for key, argv in FUZZ.items():
-        entries[key] = fuzz_output(argv)
-    return entries
+        for seed in SEEDS[name]:
+            workdir = Path(tmp) / name / str(seed)
+            for key, unit in pool(workload, seed, workdir):
+                yield key, unit_outputs(workload, unit, workdir)
+
+
+def corpus() -> dict:
+    return {key: out for name in SECTIONS for key, out in section(name)}
 
 
 def run_cli(argv, cwd: Path, out: Path):
@@ -201,15 +207,20 @@ def dumps(entries: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def moved(committed: dict, fresh: dict) -> list:
+    """The sorted keys whose output differs between the two corpora,
+    including each key that only one of them has."""
+    missing = object()
+    return [key for key in sorted(set(committed) | set(fresh))
+            if committed.get(key, missing) != fresh.get(key, missing)]
+
+
 def check(path: Path) -> int:
     """Print every key whose regenerated output differs from ``path``;
     return 1 if the regenerated text differs at all, else 0."""
     text = path.read_text()
-    committed = json.loads(text)
     fresh = corpus()
-    missing = object()
-    differ = [key for key in sorted(set(committed) | set(fresh))
-              if committed.get(key, missing) != fresh.get(key, missing)]
+    differ = moved(json.loads(text), fresh)
     for key in differ:
         print(key)
     if dumps(fresh) == text:
